@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of fixed-seed `paleylab` reports, for byte-identity checks.
+
+Runs a fixed list of `paleylab.cli.main` calls in process (set listings,
+Riesz expansions, the lift check, a replay in each mode, a criterion-3 campaign
+under `--no-timing --workers 1`, and two measure chains) and prints one
+`name sha256` line per report.  Two checkouts produce the same lines exactly
+when every report is byte-identical.  Uses the `src/` next to this script.
+
+Usage: python scripts/report_digests.py
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from paleylab import cli  # noqa: E402
+
+
+def criterion3_template(i: int) -> dict:
+    """Template i of the acceptance suite's criterion-3 campaign."""
+    r = np.random.default_rng([424242, i])
+    J = int(r.integers(1, 9))
+    ks = [int(r.integers(1, 12))]
+    target = int(2 ** r.uniform(4, 9))
+    while len(ks) < J:
+        nxt = 2 * ks[-1] + int(r.integers(1, max(2, ks[-1])))
+        if nxt > target:
+            break
+        ks.append(nxt)
+    M = min(512, max(int(ks[-1] * r.uniform(1.0, 1.6)), ks[-1]))
+    return {"k": ks, "forbidden": "schur", "M": M, "seed": 0}
+
+
+CONFIGS = {
+    "replay.json": {"k": [2, 5, 11, 23], "forbidden": "schur", "M": 32, "seed": 3},
+    "replay-halfline.json": {"k": [1, 3, 7], "forbidden": "negative-halfline", "M": 16, "seed": 4},
+    "replay-complementary.json": {"k": [2, 5, 11], "forbidden": "outside-K-positive", "M": 24,
+                                  "seed": 5},
+    "campaign.json": {
+        "templates": [criterion3_template(i) for i in range(24)]
+        + [{"k": [4, 5, 9], "forbidden": "schur", "M": 16, "seed": 0}]
+    },
+    "measures.json": [
+        {"k": [1, 3, 7], "hypothesis": "schur-riesz", "seed": 5},
+        {"k": [7, -13, 29, 4], "lift": True, "seed": 2},
+    ],
+}
+
+RUNS = [
+    ("sets-schur", ["sets", "--k", "1,3,7,15", "--set", "schur", "--window", "-60:0"]),
+    ("sets-schur-bounded", ["sets", "--k", "3,1,7", "--set", "schur", "--coeff-bound", "3",
+                            "--window", "-20:20"]),
+    ("sets-gj", ["sets", "--k", "1,3,7,15", "--set", "gj", "--j", "2", "--window", "-60:10"]),
+    ("sets-dj", ["sets", "--k", "1,3,7,15", "--set", "dj", "--j", "2", "--window", "-40:-1"]),
+    ("sets-s", ["sets", "--k", "3,1,7,2,5", "--set", "s"]),
+    ("sets-s-vector", ["sets", "--k", "2,1;0,3;5,-2;1,1", "--set", "s"]),
+    ("sets-riesz", ["sets", "--k", "1,3,7,15", "--set", "riesz"]),
+    ("sets-alt", ["sets", "--k", "1,3,7,15", "--set", "alt"]),
+    ("riesz", ["riesz", "--k", "3,7,18,40"]),
+    ("lift", ["lift", "--k", "7,-13,29,4"]),
+    ("replay-schur", ["replay", "--instances", "replay.json"]),
+    ("replay-halfline", ["replay", "--instances", "replay-halfline.json"]),
+    ("replay-complementary", ["replay", "--instances", "replay-complementary.json"]),
+    ("verify-criterion3", ["verify", "--instances", "campaign.json", "--trials", "4",
+                           "--seed", "7", "--workers", "1", "--no-timing"]),
+    ("measures", ["measures", "--instances", "measures.json"]),
+]
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, config in CONFIGS.items():
+            (tmp / name).write_text(json.dumps(config))
+        for name, argv in RUNS:
+            argv = [str(tmp / a) if a in CONFIGS else a for a in argv]
+            out = tmp / f"{name}.out"
+            code = cli.main(argv + ["--out", str(out)])
+            if code != 0 or not out.is_file():
+                print(f"{name} exit code {code}", file=sys.stderr)
+                failed += 1
+                continue
+            print(name, hashlib.sha256(out.read_bytes()).hexdigest())
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

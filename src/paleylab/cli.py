@@ -12,7 +12,7 @@ import json
 import sys
 
 from .grid import GridFunction, synth
-from .lab import Instance, make_instance, run_campaign
+from .lab import Instance, make_instance, run_campaign, schur_dsets
 from .lift import check_simple_s, lift_enumeration, lifted_s_set
 from .measures import (
     check_measure_bound,
@@ -125,9 +125,7 @@ def cmd_replay(args) -> int:
         dsets = [[tuple(m) if isinstance(m, (list, tuple)) else int(m) for m in ds] for ds in dsets]
         trace = replay(f, inst.enumeration, mode=mode, dsets=dsets)
     elif mode == "new" and inst.forbidden == "schur":
-        from .lab import _replay_dsets
-
-        trace = replay(f, inst.enumeration, mode="new", dsets=_replay_dsets(inst, f))
+        trace = replay(f, inst.enumeration, mode="new", dsets=schur_dsets(inst.enumeration))
     else:
         trace = replay(f, inst.enumeration, mode=mode)
     _dump_json(trace.to_json(), args.out)

@@ -64,6 +64,13 @@ class GridSpec:
         n = self.dims[axis]
         return 2 * np.pi * np.arange(n) / n
 
+    def window_points(self) -> list[Vec]:
+        """Every frequency inside the window, in lexicographic order."""
+        return [
+            tuple(int(o) - m for o, m in zip(offsets, self.window_half))
+            for offsets in np.ndindex(*(2 * m + 1 for m in self.window_half))
+        ]
+
     def window_mask(self) -> np.ndarray:
         """Boolean FFT-layout mask of the residues inside the window."""
         axis_masks = []
@@ -149,8 +156,7 @@ def spectrum_of(f: GridFunction) -> dict[Vec, complex]:
     hat = f.hat()
     scale = max(np.max(np.abs(hat)), 1e-300)
     out = {}
-    for offsets in np.ndindex(*(2 * m + 1 for m in f.spec.window_half)):
-        v = tuple(int(o) - m for o, m in zip(offsets, f.spec.window_half))
+    for v in f.spec.window_points():
         idx = tuple(c % d for c, d in zip(v, f.spec.dims))
         val = hat[idx]
         if abs(val) > 1e-15 * scale:

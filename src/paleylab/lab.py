@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, coeff, norm_l1, synth
-from .proofkit import replay
+from .grid import GridFunction, GridSpec, auto_spec, coeff, norm_l1, synth
+from .proofkit import default_depth, replay
 from .sets import Enumeration, SetReport, Window, alt_sum_set, d_set, s_set, schur_set
 
 SQRT2 = math.sqrt(2.0)
@@ -82,8 +82,7 @@ class Instance:
         return Enumeration(self.k)
 
     def grid(self) -> GridSpec:
-        n = self.N if self.N is not None else _default_grid_size(self.M)
-        return GridSpec((n,), (self.M,))
+        return auto_spec(self.M) if self.N is None else GridSpec((self.N,), (self.M,))
 
     def replay_mode(self) -> str | None:
         if self.mode == "auto":
@@ -114,12 +113,6 @@ class Instance:
         )
 
 
-def _default_grid_size(M: int) -> int:
-    from .grid import _smooth_size
-
-    return _smooth_size(2 * M + 2)
-
-
 def forbidden_members(inst: Instance) -> SetReport:
     """The forbidden set inside [-M, M], exact or the instance is rejected."""
     e = inst.enumeration
@@ -140,6 +133,19 @@ def forbidden_members(inst: Instance) -> SetReport:
     return SetReport([(n,) for n in inst.custom_forbidden if w.contains((n,))], True)
 
 
+def certified_forbidden(inst: Instance) -> set[int]:
+    """The forbidden frequencies inside [-M, M]; the set must be exact and
+    miss K, or the instance's hypothesis cannot be certified."""
+    rep = forbidden_members(inst)
+    if not rep.exact:
+        raise HypothesisNotCertified("cannot certify hypothesis: forbidden set inexact")
+    forbidden = {m[0] for m in rep.members}
+    overlap = forbidden & set(inst.k)
+    if overlap:
+        raise ValueError(f"forbidden set overlaps K at {sorted(overlap)}")
+    return forbidden
+
+
 def instance_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(index)])
 
@@ -153,13 +159,7 @@ def make_instance(inst: Instance, rng: np.random.Generator | None = None) -> Gri
     """
     if max(abs(x) for x in inst.k) > inst.M:
         raise ValueError("enumeration exceeds the window")
-    rep = forbidden_members(inst)
-    if not rep.exact:
-        raise HypothesisNotCertified("cannot certify hypothesis: forbidden set inexact")
-    forbidden = {m[0] for m in rep.members}
-    overlap = forbidden & set(inst.k)
-    if overlap:
-        raise ValueError(f"forbidden set overlaps K at {sorted(overlap)}")
+    forbidden = certified_forbidden(inst)
     if rng is None:
         rng = instance_rng(inst.seed, 0)
     spec = inst.grid()
@@ -219,13 +219,11 @@ class CampaignReport:
         return out
 
 
-def _replay_dsets(inst: Instance, f: GridFunction):
-    e = inst.enumeration
-    ks = inst.k
-    gaps = [b - a for a, b in zip(ks, ks[1:])]
-    depth = (max(gaps) if gaps else max(ks[0], 1)) + 1
-    w = Window(-depth, -1)
-    return [[m for m in d_set(j, e, w).members] for j in range(1, e.J + 1)]
+def schur_dsets(e: Enumeration) -> list[list]:
+    """The D_j member lists of a Schur-hypothesis replay, one per entry,
+    complete inside [-depth, -1] with the default replay depth."""
+    w = Window(-default_depth(e.scalars()), -1)
+    return [list(d_set(j, e, w).members) for j in range(1, e.J + 1)]
 
 
 def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9) -> dict:
@@ -238,7 +236,7 @@ def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9) -> 
     trace_json = None
     if mode is not None:
         if mode == "new" and inst.forbidden == "schur":
-            trace = replay(f, inst.enumeration, mode="new", dsets=_replay_dsets(inst, f))
+            trace = replay(f, inst.enumeration, mode="new", dsets=schur_dsets(inst.enumeration))
         else:
             trace = replay(f, inst.enumeration, mode=mode)
         violations.extend(trace.check(tol))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import ConeOrder, Vec, as_vec, vec_add, vec_scale, vec_sub
-from .sets import Enumeration, SetReport
+from .cones import ConeOrder, Vec, as_vec, vec_scale, vec_sub
+from .sets import Enumeration, SetReport, riesz_support, s_set
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,7 @@ def _cube_ok(v: Vec) -> bool:
 
 def lifted_s_set(le: LiftedEnumeration, gamma_half: int | None = None) -> SetReport:
     """S of the lifted enumeration: members (Σ ε_j γ_j, ε)."""
-    pairs = le.pairs()
-    members = []
-    J = le.J
-
-    def rec(j, s, seen_pos, exceeded, val):
-        if j == J:
-            if s == 1 and exceeded:
-                members.append(val)
-            return
-        for epsv in (-1, 0, 1):
-            s2 = s + epsv
-            if s2 < 0 or (seen_pos and s2 <= 0):
-                continue
-            rec(j + 1, s2, seen_pos or s2 > 0, exceeded or s2 > 1,
-                vec_add(val, vec_scale(epsv, pairs[j])))
-
-    rec(0, 0, False, False, (0,) * (1 + J))
+    members = s_set(Enumeration(le.pairs())).members
     if gamma_half is not None:
         members = [m for m in members if abs(m[0]) <= gamma_half]
     return SetReport(members, True)
@@ -95,11 +79,7 @@ def lifted_s_set(le: LiftedEnumeration, gamma_half: int | None = None) -> SetRep
 
 def lifted_riesz_support(le: LiftedEnumeration) -> SetReport:
     """Riesz support of the lifted set: one point per sign vector."""
-    pairs = le.pairs()
-    vals = [(0,) * (1 + le.J)]
-    for p in pairs:
-        vals = [vec_add(v, vec_scale(s, p)) for v in vals for s in (-1, 0, 1)]
-    return SetReport(vals, True)
+    return riesz_support(le.pairs())
 
 
 def _staircases(lo_idx: int, hi_idx: int, start: int, last_cap: int):
@@ -198,8 +178,6 @@ def check_simple_s(e: Enumeration, gamma_half: int | None = None):
     Returns (ok, witnesses); witnesses lists any element separating the two
     sides or violating the projection property.
     """
-    from .sets import s_set
-
     le = lift_enumeration(e)
     s_lift = lifted_s_set(le, gamma_half).as_set()
     schur = lifted_schur_set(le, gamma_half).as_set()

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeOrder, as_vec
-from .grid import GridFunction, GridSpec, coeff, norm_l1, synth
+from .grid import GridFunction, GridSpec, auto_spec, coeff, norm_l1, synth
+from .lab import schur_dsets
 from .lift import (
     LiftedEnumeration,
     lift_enumeration,
@@ -86,10 +87,6 @@ class DensityMeasure:
         from .grid import spectrum_of, spectrum_to_json
 
         return {"density_spectrum": spectrum_to_json(spectrum_of(self.density))}
-
-
-def measure_hat(mu, n) -> complex:
-    return mu.hat(n)
 
 
 def riesz_convolve(mu, K, spec: GridSpec | None = None) -> dict:
@@ -183,9 +180,7 @@ def check_measure_bound(
         M = need
     if M < need:
         raise ValueError("window too small for the Riesz support")
-    from .grid import _smooth_size
-
-    spec = GridSpec((N if N is not None else _smooth_size(2 * M + 2),), (M,))
+    spec = auto_spec(M) if N is None else GridSpec((N,), (M,))
 
     members = _hypothesis_members(e, M, hypothesis)
     scale = max(mu.total_variation, 1e-300)
@@ -202,12 +197,7 @@ def check_measure_bound(
     if hypothesis == "negative":
         trace = replay(f_k, e, mode="new")
     else:
-        gaps = [b - a for a, b in zip(ks, ks[1:])]
-        depth = (max(gaps) if gaps else max(ks[0], 1)) + 1
-        from .sets import d_set
-
-        dsets = [list(d_set(j, e, Window(-depth, -1)).members) for j in range(1, e.J + 1)]
-        trace = replay(f_k, e, mode="new", dsets=dsets)
+        trace = replay(f_k, e, mode="new", dsets=schur_dsets(e))
 
     mu_on_k = math.sqrt(sum(abs(mu.hat(k)) ** 2 for k in e.entries))
     fk_on_k = trace.coeff_l2_on_k
@@ -238,9 +228,7 @@ def lifted_grid(le: LiftedEnumeration, gamma_half: int) -> GridSpec:
     one, in practice) is widened to four points to keep the wrap off the
     window.
     """
-    from .grid import _smooth_size
-
-    n_gamma = _smooth_size(2 * gamma_half + 2)
+    n_gamma = auto_spec(gamma_half).dims[0]
     axis_sizes = tuple(
         4 if (3 * g) % n_gamma == 0 else 3 for g in le.gammas()
     )
@@ -326,9 +314,7 @@ def random_density_measure(
     N: int | None = None,
 ) -> DensityMeasure:
     """Seeded density with mu-hat vanishing on the hypothesis set, nonzero on K."""
-    from .grid import _smooth_size
-
-    spec = GridSpec((N if N is not None else _smooth_size(2 * M + 2),), (M,))
+    spec = auto_spec(M) if N is None else GridSpec((N,), (M,))
     if hypothesis == "s":
         forbidden = {m[0] for m in s_set(e).members if abs(m[0]) <= M}
     else:
@@ -405,11 +391,7 @@ def measure_bound_via_total_order(
         for g in cone.generators:
             if not total.in_strict_cone(g):
                 raise ValueError("cone does not imbed in the lex-last order")
-    members = [
-        tuple(int(o) - m for o, m in zip(offsets, spec.window_half))
-        for offsets in np.ndindex(*(2 * m + 1 for m in spec.window_half))
-    ]
-    negatives = [v for v in members if total.in_strict_cone(tuple(-c for c in v))]
+    negatives = [v for v in spec.window_points() if total.in_strict_cone(tuple(-c for c in v))]
     scale = max(mu.total_variation, 1e-300)
     for m in negatives:
         if abs(mu.hat(m)) > 1e-10 * scale:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction
-from .lab import Instance, forbidden_members
+from .lab import Instance, certified_forbidden
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,7 @@ def optimize_ratio(
     """
     if cfg is None:
         cfg = OptimizerConfig()
-    rep = forbidden_members(inst)
-    if not rep.exact:
-        raise ValueError("cannot certify hypothesis: forbidden set inexact")
-    forbidden = {m[0] for m in rep.members}
-    overlap = forbidden & set(inst.k)
-    if overlap:
-        raise ValueError(f"forbidden set overlaps K at {sorted(overlap)}")
+    forbidden = certified_forbidden(inst)
     spec = inst.grid()
     N = spec.dims[0]
     M = inst.M

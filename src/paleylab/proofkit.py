@@ -23,7 +23,7 @@ is not one of the certified quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,48 +152,6 @@ class _MaskSpace:
         hat = np.fft.fftn(v)
         hat[~self.mask] = 0
         return np.fft.ifftn(hat)
-
-
-@dataclass
-class Subspace:
-    """Orthonormal span handle, as built by `span_subspace`."""
-
-    spec: GridSpec
-    source: tuple
-    _impl: object = field(repr=False, default=None)
-
-    @property
-    def dim(self) -> int:
-        return self._impl.dim
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        return self._impl.apply(samples)
-
-
-def span_subspace(D, carrier, spec: GridSpec) -> Subspace:
-    """Orthonormal basis of span{carrier * e^{i n t} : n in D}.
-
-    A carrier of None (or the constant 1) gives bare character spans; the
-    rank is decided by a relative singular-value threshold of 1e-10.
-    """
-    ns = [as_vec(n) for n in D]
-    for n in ns:
-        spec.require_window(n)
-    arr = None
-    if carrier is not None:
-        arr = carrier.samples if isinstance(carrier, GridFunction) else np.asarray(carrier, complex)
-        if arr.shape != spec.dims:
-            raise ValueError("carrier shape disagrees with grid")
-        if np.max(np.abs(arr - 1.0)) < 1e-15:
-            arr = None
-    impl = _BasisSpace(spec, ns, arr)
-    return Subspace(spec, tuple(ns), impl)
-
-
-def project(v: GridFunction, S: Subspace) -> GridFunction:
-    if v.spec != S.spec:
-        raise ValueError("grid specs disagree")
-    return GridFunction(v.spec, S.apply(v.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +368,6 @@ def _two_step_trace(f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden,
 
     hat = f.hat()
     g, h = gfun.samples, hfun.samples
-    membership_ok, antinest_ok, gnest_ok = flags
 
     make = (lambda ns: _MaskSpace(spec, ns)) if carrier is None else (
         lambda ns: _BasisSpace(spec, ns, carrier)
@@ -456,33 +413,46 @@ def _two_step_trace(f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden,
     for j in range(2, J):
         qdefect = max(qdefect, _n2(qg[j - 1] - Qs[j].apply(qg[j - 1]), size))
 
-    on_k = float(np.sqrt(sum(abs(_hat_at(hat, spec.dims, k)) ** 2 for k in e_ks)))
+    return _assemble_trace(
+        f, mode, e_ks, rows, a, b, f_l2, flags, Factorization(gfun, hfun), qdefect, depth
+    )
+
+
+def _assemble_trace(f, mode, ks, rows, a, b, f_l2, flags, fac, qdefect, depth) -> ProofTrace:
+    """The ProofTrace of a finished two-step replay; flags are the set-level
+    (membership, D_j nesting, shifted-set nesting) verdicts."""
+    size = f.spec.size
+    hat = f.hat()
+    on_k = float(np.sqrt(sum(abs(_hat_at(hat, f.spec.dims, k)) ** 2 for k in ks)))
     l1 = norm_l1(f)
     if l1 == 0:
         raise ValueError("zero function has no ratio")
+    membership_ok, nesting_p_ok, nesting_q_ok = flags
     return ProofTrace(
         mode=mode,
-        ks=tuple(e_ks),
+        ks=tuple(ks),
         rows=tuple(rows),
         sum_a_sq=float(np.sum(np.abs(a) ** 2)),
         sum_b_sq=float(np.sum(np.abs(b) ** 2)),
-        g_norm_sq=_n2(g, size) ** 2,
-        h_norm_sq=_n2(h, size) ** 2,
+        g_norm_sq=_n2(fac.g.samples, size) ** 2,
+        h_norm_sq=_n2(fac.h.samples, size) ** 2,
         f_l1=l1,
         f_l2=f_l2,
         coeff_l2_on_k=on_k,
         certified_constant=2.0,
         ratio=on_k / l1,
-        nesting_p_ok=antinest_ok,
-        nesting_q_ok=gnest_ok,
+        nesting_p_ok=nesting_p_ok,
+        nesting_q_ok=nesting_q_ok,
         membership_ok=membership_ok,
-        factorization_residuals=Factorization(gfun, hfun).residuals(f),
+        factorization_residuals=fac.residuals(f),
         q_nest_range_defect=qdefect,
         depth=depth,
     )
 
 
-def _default_depth(ks: list[int]) -> int:
+def default_depth(ks: list[int]) -> int:
+    """Floor of the half-line index sets and window depth of the Schur D_j
+    lists: one past the largest gap (one past max(k_1, 1) when J = 1)."""
     gaps = [b - a for a, b in zip(ks, ks[1:])]
     return (max(gaps) if gaps else max(ks[0], 1)) + 1
 
@@ -555,7 +525,7 @@ def replay(
                 "half-line replay requires a strongly lacunary increasing enumeration"
             )
         if depth is None:
-            depth = _default_depth(ks) + h_degree
+            depth = default_depth(ks) + h_degree
         if depth > N - M - 1:
             raise ValueError("depth exceeds the grid's alias-free range")
         dvecs = [[(n,) for n in range(-depth, -k)] for k in ks]
@@ -664,29 +634,10 @@ def _replay_complementary(f: GridFunction, ks: list[int], factorization):
     for j in range(1, J):
         qdefect = max(qdefect, _n2(qg[j] - qspaces[j + 1].apply(qg[j]), size))
 
-    on_k = float(np.sqrt(sum(abs(_hat_at(hat, spec.dims, (k,))) ** 2 for k in ks)))
-    l1 = norm_l1(f)
-    if l1 == 0:
-        raise ValueError("zero function has no ratio")
-    return ProofTrace(
-        mode="complementary",
-        ks=tuple((k,) for k in ks),
-        rows=tuple(rows),
-        sum_a_sq=float(np.sum(np.abs(a) ** 2)),
-        sum_b_sq=float(np.sum(np.abs(b) ** 2)),
-        g_norm_sq=_n2(g, size) ** 2,
-        h_norm_sq=_n2(h, size) ** 2,
-        f_l1=l1,
-        f_l2=f_l2,
-        coeff_l2_on_k=on_k,
-        certified_constant=2.0,
-        ratio=on_k / l1,
-        nesting_p_ok=all(a < b for a, b in zip(ks, ks[1:])),
-        nesting_q_ok=all(a < b for a, b in zip(ks, ks[1:])),
-        membership_ok=all(b > 2 * a for a, b in zip(ks, ks[1:])),
-        factorization_residuals=fac.residuals(f),
-        q_nest_range_defect=qdefect,
-        depth=max(ks),
+    increasing = all(a < b for a, b in zip(ks, ks[1:]))
+    flags = (all(b > 2 * a for a, b in zip(ks, ks[1:])), increasing, increasing)
+    return _assemble_trace(
+        f, "complementary", [(k,) for k in ks], rows, a, b, f_l2, flags, fac, qdefect, max(ks)
     )
 
 
@@ -721,10 +672,7 @@ def replay_group(
     for v in need:
         if not spec.in_window(v):
             raise ValueError(f"window too small: {v} must be representable")
-    box = [
-        tuple(int(o) - m for o, m in zip(offsets, spec.window_half))
-        for offsets in np.ndindex(*(2 * m + 1 for m in spec.window_half))
-    ]
+    box = spec.window_points()
     dsets = []
     for j, k in enumerate(ks):
         mk = vec_scale(-1, k)

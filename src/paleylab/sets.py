@@ -182,6 +182,21 @@ def _nonneg_combos(gens, cap: int) -> np.ndarray:
     return reach
 
 
+def _window_slice(ms: np.ndarray, lo: int, hi: int) -> list[int]:
+    """The values of an integer array inside [lo, hi], as Python ints."""
+    return ms[(ms >= lo) & (ms <= hi)].tolist()
+
+
+def _gap_translates(top: int, gens, w: Window, nonzero: bool = False) -> list[int]:
+    """Window members of top - Σ n_i g_i over nonnegative integers n_i, with
+    some n_i positive when `nonzero`."""
+    lo, hi = w.lo[0], w.hi[0]
+    vals = np.nonzero(_nonneg_combos(gens, top - lo))[0]
+    if nonzero:
+        vals = vals[vals > 0]
+    return _window_slice(top - vals, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # Schur set, two routes
 # ---------------------------------------------------------------------------
@@ -232,54 +247,50 @@ def _schur_increasing_dp(ks: list[int], lo: int, hi: int) -> list[int]:
             shifted[g:] = p2[:-g]
             new2 |= _closure(shifted, g)        # p2 -> p2 (s_j >= 1)
         p1, p2 = new1, new2
-    vals = np.nonzero(p2)[0]
-    ms = ks[-1] - vals
-    return [int(m) for m in ms[(ms >= lo) & (ms <= hi)]]
+    return _window_slice(ks[-1] - np.nonzero(p2)[0], lo, hi)
 
 
-def _schur_bounded_dfs(e: Enumeration, w: Window, bound: int) -> list:
-    """Honest search over sign vectors with |ε_j| <= bound."""
-    vs = e.entries
-    J = len(vs)
-    d = e.dim
-    sum_tail = [tuple(0 for _ in range(d))] * (J + 1)
-    for j in range(J - 1, -1, -1):
-        sum_tail[j] = vec_add(sum_tail[j + 1], tuple(abs(c) for c in vs[j]))
+def _sign_walk(vecs, bound: int = 1, w: Window | None = None,
+               node_cap: int | None = None) -> set:
+    """Values Σ ε_j v_j over integer sign vectors with |ε_j| <= bound meeting
+    the partial-sum conditions of `admissible_signs`.
+
+    With a window only the values inside it are kept, and a branch is cut
+    once its remaining steps cannot bring the value back into the window.
+    """
+    J = len(vecs)
+    d = len(vecs[0]) if vecs else 1
+    if w is not None:
+        # each remaining step moves a coordinate by at most bound * |v_j|
+        sum_tail = [(0,) * d] * (J + 1)
+        for j in range(J - 1, -1, -1):
+            sum_tail[j] = vec_add(sum_tail[j + 1], tuple(abs(c) for c in vecs[j]))
     out = set()
     nodes = 0
 
     def rec(j, s, seen_pos, exceeded, val):
         nonlocal nodes
         nodes += 1
-        if nodes > DFS_NODE_CAP:
+        if node_cap is not None and nodes > node_cap:
             raise CapExceeded("sign-vector search exceeded the node cap")
         if j == J:
-            if s == 1 and exceeded and w.contains(val):
+            if s == 1 and exceeded and (w is None or w.contains(val)):
                 out.add(val)
             return
-        # partial sums can drop by at most `bound` per remaining step
-        remaining = J - j
-        slack = vec_scale(bound, sum_tail[j])
-        if any(v - sl > hi or v + sl < lo for v, sl, lo, hi in zip(val, slack, w.lo, w.hi)):
-            return
+        if w is not None:
+            slack = vec_scale(bound, sum_tail[j])
+            if any(v - sl > hi or v + sl < lo for v, sl, lo, hi in zip(val, slack, w.lo, w.hi)):
+                return
+        room = bound * (J - j - 1)  # the full sum must still come back to 1
         for epsv in range(-bound, bound + 1):
             s2 = s + epsv
-            if s2 < 0 or (seen_pos and s2 <= 0):
+            if s2 < 0 or (seen_pos and s2 <= 0) or abs(s2 - 1) > room:
                 continue
-            if s2 > 1 + bound * (remaining - 1):
-                continue  # cannot come back down to a full sum of 1
-            if s2 < 1 - bound * (remaining - 1):
-                continue
-            rec(
-                j + 1,
-                s2,
-                seen_pos or s2 > 0,
-                exceeded or s2 > 1,
-                vec_add(val, vec_scale(epsv, vs[j])),
-            )
+            rec(j + 1, s2, seen_pos or s2 > 0, exceeded or s2 > 1,
+                vec_add(val, vec_scale(epsv, vecs[j])))
 
-    rec(0, 0, False, False, tuple(0 for _ in range(d)))
-    return sorted(out)
+    rec(0, 0, False, False, (0,) * d)
+    return out
 
 
 def schur_set(e: Enumeration, w: Window, coeff_bound: int | None = None) -> SetReport:
@@ -300,7 +311,12 @@ def schur_set(e: Enumeration, w: Window, coeff_bound: int | None = None) -> SetR
             members = _schur_increasing_dp(e.scalars(), w.lo[0], w.hi[0])
             return SetReport(members, True)
     bound = coeff_bound if coeff_bound is not None else 4
-    return SetReport(_schur_bounded_dfs(e, w, bound), False)
+    return SetReport(_sign_walk(e.entries, bound, w, DFS_NODE_CAP), False)
+
+
+def _require_increasing(e: Enumeration):
+    if e.dim != 1 or not e.is_increasing():
+        raise ValueError("gap representation requires increasing enumeration")
 
 
 def schur_set_via_gaps(e: Enumeration, w: Window) -> SetReport:
@@ -309,24 +325,13 @@ def schur_set_via_gaps(e: Enumeration, w: Window) -> SetReport:
     Requires a strictly increasing integer enumeration; positive gaps bound
     the coefficients, so the windowed listing is exact.
     """
-    if e.J == 0:
-        return SetReport([], True)
-    if e.dim != 1 or not e.is_increasing():
-        raise ValueError("gap representation requires increasing enumeration")
+    _require_increasing(e)
     ks = e.scalars()
     gaps = e.gaps()
-    lo, hi = w.lo[0], w.hi[0]
     out: set[int] = set()
     for i in range(1, len(ks)):
-        cap = ks[i - 1] - lo
-        if cap < 0:
-            continue
-        reach = _nonneg_combos(gaps[i - 1 :], cap)
-        vals = np.nonzero(reach)[0]
-        vals = vals[vals > 0]  # coefficients not all zero
-        ms = ks[i - 1] - vals
-        out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-    return SetReport(sorted(out), True)
+        out.update(_gap_translates(ks[i - 1], gaps[i - 1 :], w, nonzero=True))
+    return SetReport(out, True)
 
 
 # ---------------------------------------------------------------------------
@@ -337,47 +342,7 @@ def s_set(e: Enumeration, cap: int = S_SET_CAP) -> SetReport:
     """Values Σ ε_j k_j over ε in {-1,0,1}^J meeting the partial-sum conditions."""
     if e.J > cap:
         raise CapExceeded(f"J={e.J} exceeds the 3^J cap {cap}")
-    out = set()
-    d = e.dim
-
-    def rec(j, s, seen_pos, exceeded, val):
-        if j == e.J:
-            if s == 1 and exceeded:
-                out.add(val)
-            return
-        for epsv in (-1, 0, 1):
-            s2 = s + epsv
-            if s2 < 0 or (seen_pos and s2 <= 0):
-                continue
-            rec(j + 1, s2, seen_pos or s2 > 0, exceeded or s2 > 1,
-                vec_add(val, vec_scale(epsv, e.entries[j])))
-
-    rec(0, 0, False, False, tuple(0 for _ in range(d)))
-    return SetReport(sorted(out), True)
-
-
-def s_set_with_signs(e: Enumeration, cap: int = S_SET_CAP) -> dict:
-    """Map member -> the admissible sign vectors producing it."""
-    if e.J > cap:
-        raise CapExceeded(f"J={e.J} exceeds the 3^J cap {cap}")
-    out: dict[Vec, list[tuple[int, ...]]] = {}
-
-    def rec(j, s, seen_pos, exceeded, val, eps):
-        if j == e.J:
-            if s == 1 and exceeded:
-                out.setdefault(val, []).append(tuple(eps))
-            return
-        for epsv in (-1, 0, 1):
-            s2 = s + epsv
-            if s2 < 0 or (seen_pos and s2 <= 0):
-                continue
-            eps.append(epsv)
-            rec(j + 1, s2, seen_pos or s2 > 0, exceeded or s2 > 1,
-                vec_add(val, vec_scale(epsv, e.entries[j])), eps)
-            eps.pop()
-
-    rec(0, 0, False, False, tuple(0 for _ in range(e.dim)), [])
-    return out
+    return SetReport(_sign_walk(e.entries), True)
 
 
 def riesz_support(K, cap: int = RIESZ_CAP) -> SetReport:
@@ -420,11 +385,6 @@ def alt_sum_set(e: Enumeration, cap: int = ALT_SUM_CAP) -> SetReport:
 # the block sets G_{j+1} and D_j (dim 1, increasing)
 # ---------------------------------------------------------------------------
 
-def _require_increasing(e: Enumeration):
-    if e.dim != 1 or not e.is_increasing():
-        raise ValueError("gap representation requires increasing enumeration")
-
-
 def g_set(j: int, e: Enumeration, w: Window) -> SetReport:
     """The set G_{j+1}: values k_i - Σ_{j'=i}^{J-1} n_j' Δk_j' inside the window,
     with 1 <= i <= min(j+1, J-1) and some n_j' nonzero when i = j+1."""
@@ -434,68 +394,10 @@ def g_set(j: int, e: Enumeration, w: Window) -> SetReport:
         raise ValueError(f"index j={j} out of range 1..{J - 1}")
     ks = e.scalars()
     gaps = e.gaps()
-    lo, hi = w.lo[0], w.hi[0]
     out: set[int] = set()
     for i in range(1, min(j + 1, J - 1) + 1):
-        cap = ks[i - 1] - lo
-        if cap < 0:
-            continue
-        reach = _nonneg_combos(gaps[i - 1 :], cap)
-        vals = np.nonzero(reach)[0]
-        if i == j + 1:
-            vals = vals[vals > 0]
-        ms = ks[i - 1] - vals
-        out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-    return SetReport(sorted(out), True)
-
-
-def g_set_first_form(j: int, e: Enumeration, w: Window) -> SetReport:
-    """The narrower description of G_{j+1} preceding the uniform election:
-    i > 1 terms as in g_set, plus i = 1 terms restricted to n_1 = 0 with the
-    indices j' >= j+1 of nonzero coefficients forming a gap-free block
-    containing j+1 (or no such indices at all)."""
-    _require_increasing(e)
-    J = e.J
-    if not 1 <= j < J:
-        raise ValueError(f"index j={j} out of range 1..{J - 1}")
-    ks = e.scalars()
-    gaps = e.gaps()
-    lo, hi = w.lo[0], w.hi[0]
-    out: set[int] = set()
-    for i in range(2, min(j + 1, J - 1) + 1):
-        cap = ks[i - 1] - lo
-        if cap < 0:
-            continue
-        reach = _nonneg_combos(gaps[i - 1 :], cap)
-        vals = np.nonzero(reach)[0]
-        if i == j + 1:
-            vals = vals[vals > 0]
-        ms = ks[i - 1] - vals
-        out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-    # i = 1, n_1 = 0; nonzero indices among j' >= j+1 form a block [j+1, b]
-    if w.contains((ks[0],)):
-        out.add(ks[0])  # the empty-index case
-    cap = ks[0] - lo
-    if cap >= 0:
-        # indices 2..j may be anything nonnegative only when they are absent
-        # from the j' >= j+1 block rule; here j' runs over 2..J-1 with the
-        # block constraint on j' >= j+1 and freedom below j+1.
-        free = gaps[1:j]  # j' = 2..j
-        for b in range(j + 1, J):
-            base = sum(gaps[j : b])  # one each of Δk_{j+1}..Δk_b
-            if base > cap:
-                break
-            reach = _nonneg_combos(free + gaps[j : b], cap - base)
-            vals = np.nonzero(reach)[0] + base
-            ms = ks[0] - vals
-            out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-        # no j' >= j+1 present: free combos of Δk_2..Δk_j alone
-        if free:
-            reach = _nonneg_combos(free, cap)
-            vals = np.nonzero(reach)[0]
-            ms = ks[0] - vals
-            out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-    return SetReport(sorted(out), True)
+        out.update(_gap_translates(ks[i - 1], gaps[i - 1 :], w, nonzero=i == j + 1))
+    return SetReport(out, True)
 
 
 def d_set(j: int, e: Enumeration, w: Window) -> SetReport:
@@ -512,62 +414,13 @@ def d_set(j: int, e: Enumeration, w: Window) -> SetReport:
         raise ValueError(f"index j={j} out of range 1..{J}")
     if j == J:
         return SetReport([], True)
-    ks = e.scalars()
     gaps = e.gaps()
-    lo, hi = w.lo[0], w.hi[0]
-    cap = -lo
     out: set[int] = set()
-    if cap >= 0:
-        for i in range(1, j + 1):  # block [i, j], each coefficient >= 1 there
-            base = sum(gaps[i - 1 : j])
-            if base > cap:
-                continue
-            reach = _nonneg_combos(gaps[i - 1 :], cap - base)
-            vals = np.nonzero(reach)[0] + base
-            ms = -vals
-            out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-        if j + 1 <= J - 1:  # no index <= j used; some index above j nonzero
-            reach = _nonneg_combos(gaps[j:], cap)
-            vals = np.nonzero(reach)[0]
-            vals = vals[vals > 0]
-            ms = -vals
-            out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-    return SetReport(sorted(out), True)
-
-
-def d_set_remark_form(j: int, e: Enumeration, w: Window) -> SetReport:
-    """The looser remark-style description of D_j: the nonzero indices strictly
-    below j form a gap-free block containing j-1 (or none), with no condition
-    at j itself.  Kept for comparison; contains `d_set` but can be strictly
-    larger, and then fails the translate identity with G_{j+1}."""
-    _require_increasing(e)
-    J = e.J
-    if not 1 <= j <= J:
-        raise ValueError(f"index j={j} out of range 1..{J}")
-    if j == J:
-        return SetReport([], True)
-    ks = e.scalars()
-    gaps = e.gaps()
-    lo, hi = w.lo[0], w.hi[0]
-    cap = -lo
-    out: set[int] = set()
-    if cap >= 0:
-        for i in range(1, j):  # block [i, j-1] nonempty
-            base = sum(gaps[i - 1 : j - 1])
-            if base > cap:
-                continue
-            reach = _nonneg_combos(gaps[i - 1 :], cap - base)
-            vals = np.nonzero(reach)[0] + base
-            vals = vals[vals > 0]
-            ms = -vals
-            out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-        # empty block below j: indices j..J-1 free
-        reach = _nonneg_combos(gaps[j - 1 :], cap)
-        vals = np.nonzero(reach)[0]
-        vals = vals[vals > 0]
-        ms = -vals
-        out.update(int(m) for m in ms[(ms >= lo) & (ms <= hi)])
-    return SetReport(sorted(out), True)
+    for i in range(1, j + 1):  # block [i, j], each coefficient >= 1 there
+        out.update(_gap_translates(-sum(gaps[i - 1 : j]), gaps[i - 1 :], w))
+    if j + 1 <= J - 1:  # no index <= j used; some index above j nonzero
+        out.update(_gap_translates(0, gaps[j:], w, nonzero=True))
+    return SetReport(out, True)
 
 
 def preorder_less(j: int, m, n, e: Enumeration, w: Window) -> bool:

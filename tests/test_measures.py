@@ -11,7 +11,6 @@ from paleylab.measures import (
     check_measure_bound,
     check_measure_bound_via_lift,
     measure_bound_via_total_order,
-    measure_hat,
     random_atomic_measure,
     random_density_measure,
     riesz_convolve,
@@ -23,17 +22,17 @@ from paleylab.sets import Enumeration
 def test_measure_hat_examples():
     delta0 = AtomicMeasure([((0.0,), 1.0)])
     for n in (-3, 0, 2, 7):
-        assert abs(measure_hat(delta0, n) - 1) < 1e-14
+        assert abs(delta0.hat(n) - 1) < 1e-14
 
     spec = GridSpec((64,), (10,))
     dens = DensityMeasure(synth({(4,): 1.0}, spec))
-    assert abs(measure_hat(dens, 4) - 1) < 1e-13
-    assert abs(measure_hat(dens, 3)) < 1e-13
+    assert abs(dens.hat(4) - 1) < 1e-13
+    assert abs(dens.hat(3)) < 1e-13
 
     half = AtomicMeasure([((0.0,), 0.5), ((math.pi,), 0.5)])
     for n in range(-4, 5):
         expected = (1 + (-1) ** n) / 2
-        assert abs(measure_hat(half, n) - expected) < 1e-12
+        assert abs(half.hat(n) - expected) < 1e-12
 
 
 def test_total_variation():

@@ -7,11 +7,10 @@ from paleylab.proofkit import (
     Factorization,
     HypothesisViolation,
     SupportViolation,
+    _BasisSpace,
     factorize,
-    project,
     replay,
     replay_group,
-    span_subspace,
 )
 from paleylab.sets import Enumeration, Window, d_set, schur_set
 
@@ -54,11 +53,20 @@ def test_factorize_random_residuals():
 
 # --- subspaces and projections ----------------------------------------------
 
+def span(ns, carrier, spec):
+    """Orthonormal span of carrier * e^{i n t} over ns (bare characters for None)."""
+    return _BasisSpace(spec, [(n,) for n in ns], None if carrier is None else carrier.samples)
+
+
+def project(v, S):
+    return GridFunction(v.spec, S.apply(v.samples))
+
+
 def test_span_single_carrier():
     spec = GridSpec((32,), (10,))
     f = random_function(spec, range(-5, 6), 1)
     h = factorize(f).h
-    S = span_subspace([0], h, spec)
+    S = span([0], h, spec)
     assert S.dim == 1
     reproduced = project(h, S)
     assert norm_l2(GridFunction(spec, reproduced.samples - h.samples)) < 1e-10
@@ -66,15 +74,20 @@ def test_span_single_carrier():
 
 def test_span_characters_orthonormal():
     spec = GridSpec((32,), (10,))
-    S = span_subspace([0, 1], None, spec)
+    S = span([0, 1], None, spec)
     assert S.dim == 2
+    assert np.max(np.abs(S.basis_h @ S.basis - np.eye(2))) < 1e-12
+    # the span is the two characters: each one is reproduced
+    for n in (0, 1):
+        e_n = synth({(n,): 1.0}, spec)
+        assert norm_l2(GridFunction(spec, project(e_n, S).samples - e_n.samples)) < 1e-12
 
 
 def test_rank_deficiency_detected():
     spec = GridSpec((32,), (10,))
     carrier = np.zeros(32, complex)
     carrier[:16] = 1.0  # vanishes on half the grid
-    S = span_subspace(range(-10, 11), GridFunction(spec, carrier), spec)
+    S = span(range(-10, 11), GridFunction(spec, carrier), spec)
     assert S.dim < 21
 
 
@@ -83,7 +96,7 @@ def test_projection_properties():
     spec = GridSpec((64,), (20,))
     f = random_function(spec, range(-20, 21), 2)
     h = factorize(f).h
-    S = span_subspace(range(-8, -2), h, spec)
+    S = span(range(-8, -2), h, spec)
     v = GridFunction(spec, rng.standard_normal(64) + 1j * rng.standard_normal(64))
     w = GridFunction(spec, rng.standard_normal(64) + 1j * rng.standard_normal(64))
     pv, pw = project(v, S), project(w, S)
@@ -93,7 +106,6 @@ def test_projection_properties():
     rhs = np.vdot(pw.samples, v.samples)
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
     assert norm_l2(pv) <= norm_l2(v) + 1e-12
-    inside = project(pv, S)
     perp = GridFunction(spec, v.samples - pv.samples)
     assert norm_l2(project(perp, S)) < 1e-9
 
@@ -437,10 +449,8 @@ def test_intertwining_is_an_operator_identity():
     rng = np.random.default_rng(2)
     t = spec.axis_points(0)
     for j in range(2, 4):
-        L = span_subspace(range(-depth, -ks[j - 2]), h, spec)
-        Qr = span_subspace(
-            [n + ks[j - 1] for n in range(-depth, -ks[j - 2])], h, spec
-        )
+        L = span(range(-depth, -ks[j - 2]), h, spec)
+        Qr = span([n + ks[j - 1] for n in range(-depth, -ks[j - 2])], h, spec)
         char = np.exp(1j * ks[j - 1] * t)
         for _ in range(4):
             v = rng.standard_normal(128) + 1j * rng.standard_normal(128)

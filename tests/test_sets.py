@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,7 @@ from paleylab.sets import (
     alt_sum_set,
     check_inclusion_s_in_schur_riesz,
     d_set,
-    d_set_remark_form,
     g_set,
-    g_set_first_form,
     preorder_less,
     required_coeff_bound,
     riesz_support,
@@ -22,6 +22,7 @@ from paleylab.sets import (
     schur_set,
     schur_set_via_gaps,
 )
+from paleylab.lift import lift_enumeration, lifted_s_set
 from conftest import brute_force_schur, random_lacunary
 
 
@@ -72,6 +73,18 @@ def test_admissible_signs(eps, ok):
 
 # --- Schur set, both routes ------------------------------------------------
 
+def _admissible_values(vecs, bound, w=None):
+    """Oracle: every sign vector of the box [-bound, bound]^J put through
+    `admissible_signs`, with values kept inside the window if one is given."""
+    out = set()
+    for eps in itertools.product(range(-bound, bound + 1), repeat=len(vecs)):
+        if admissible_signs(eps):
+            val = tuple(sum(c * v[i] for c, v in zip(eps, vecs)) for i in range(len(vecs[0])))
+            if w is None or w.contains(val):
+                out.add(val)
+    return out
+
+
 def test_schur_examples():
     assert members(schur_set(Enumeration([1, 3]), Window(-10, 0))) == [-9, -7, -5, -3, -1]
     assert members(schur_set(Enumeration([1, 3, 7]), Window(-5, 0))) == [-5, -3, -1]
@@ -115,21 +128,11 @@ def test_schur_increasing_small_bound_honors_bound():
 
 
 def test_schur_vector_enumeration_bounded():
-    import itertools
-
     e = Enumeration([(2, 1), (0, 3), (5, -2)])
     w = Window((-8, -8), (8, 8))
     rep = schur_set(e, w, coeff_bound=2)
     assert not rep.exact
-    expected = set()
-    for eps in itertools.product(range(-2, 3), repeat=3):
-        if admissible_signs(eps):
-            val = tuple(
-                sum(ev * kv[i] for ev, kv in zip(eps, e.entries)) for i in range(2)
-            )
-            if w.contains(val):
-                expected.add(val)
-    assert rep.as_set() == expected
+    assert rep.as_set() == _admissible_values(e.entries, 2, w)
 
 
 def test_required_coeff_bound_documented_formula():
@@ -171,6 +174,39 @@ def test_s_set_examples():
 def test_s_set_cap():
     with pytest.raises(CapExceeded):
         s_set(Enumeration(list(range(1, 19))), cap=16)
+
+
+@pytest.mark.parametrize(
+    "kind, ks, arg",
+    [
+        ("s", [1, 3, 7, 15], None),
+        ("s", [3, 1, 7, 2, 5], None),
+        ("s", [5, -2, 0, 9], None),
+        ("s", [(2, 1), (0, 3), (5, -2), (1, 1)], None),
+        ("lifted", [7, -13, 29, 4], None),
+        ("lifted", [7, -13, 29, 4], 10),
+        ("lifted", [1, 2, 3, 0], 2),
+        ("schur", [3, 1, 7, 2], (-12, 12)),
+        ("schur", [5, -2, 9, 4], (-30, 3)),
+        ("schur", [(2, 1), (0, 3), (5, -2)], ((-6, -4), (4, 9))),
+    ],
+)
+def test_sign_walk_against_product_oracle(kind, ks, arg):
+    # s_set, the lifted S set and the bounded Schur search share one walk
+    e = Enumeration(ks)
+    if kind == "s":
+        assert s_set(e).as_set() == _admissible_values(e.entries, 1)
+    elif kind == "lifted":
+        le = lift_enumeration(e)
+        expected = _admissible_values(le.pairs(), 1)
+        if arg is not None:
+            expected = {m for m in expected if abs(m[0]) <= arg}
+        assert lifted_s_set(le, arg).as_set() == expected
+    else:
+        w = Window(*arg)
+        rep = schur_set(e, w, coeff_bound=2)
+        assert not rep.exact
+        assert rep.as_set() == _admissible_values(e.entries, 2, w)
 
 
 def test_riesz_and_alt_caps():
@@ -280,20 +316,11 @@ def test_d_set_translate_identity_with_g_set():
 
 
 def test_d_set_exact_reading_on_spec_instance():
-    # the loose remark-style description admits -2 here; the translate
-    # identity with G_3 - 7 excludes it
+    # a looser description with no condition at j itself would admit -2
+    # here; the translate identity with G_3 - 7 excludes it
     e = Enumeration([1, 3, 7])
     w = Window(-9, -1)
     assert members(d_set(2, e, w)) == [-8, -6, -4]
-    assert members(d_set_remark_form(2, e, w)) == [-8, -6, -4, -2]
-
-
-def test_d_set_contained_in_remark_form():
-    for ks in ([1, 3, 7, 15], [2, 5, 11, 23], [1, 4, 9, 19]):
-        e = Enumeration(ks)
-        w = Window(-ks[-1], -1)
-        for j in range(1, len(ks) + 1):
-            assert set(members(d_set(j, e, w))) <= set(members(d_set_remark_form(j, e, w)))
 
 
 def test_d_set_antinesting():
@@ -347,25 +374,6 @@ def test_schur_equals_union_of_shifted_d_sets():
                 if w.lo[0] <= m + ks[j - 1] <= w.hi[0]
             }
         assert schur == union
-
-
-def test_g_set_first_form_contained_in_elected():
-    for ks in ([1, 3, 7, 15], [1, 3, 8], [2, 5, 11, 23]):
-        e = Enumeration(ks)
-        w = Window(-2 * ks[-1], ks[-1])
-        for j in range(1, len(ks)):
-            first = set(members(g_set_first_form(j, e, w)))
-            elected = set(members(g_set(j, e, w)))
-            assert first <= elected
-
-
-def test_g_set_first_form_discrepancy_is_reported_not_resolved():
-    # the two descriptions genuinely differ here; record the difference
-    e = Enumeration([1, 3, 8])
-    w = Window(-16, 3)
-    first = set(members(g_set_first_form(1, e, w)))
-    elected = set(members(g_set(1, e, w)))
-    assert -1 in elected - first
 
 
 # --- preorders and the inclusion ------------------------------------------
