@@ -2,7 +2,8 @@
 """SHA-256 digests of fixed-seed `paleylab` reports, for byte-identity checks.
 
 Runs a fixed list of `paleylab.cli.main` calls in process (set listings,
-Riesz expansions, the lift check, a replay in each mode, a criterion-3 campaign
+among them three at the 10^6 window scale of acceptance criterion 2, Riesz
+expansions, the lift check, a replay in each mode, a criterion-3 campaign
 under `--no-timing --workers 1`, and two measure chains) and prints one
 `name sha256` line per report.  Two checkouts produce the same lines exactly
 when every report is byte-identical.  Uses the `src/` next to this script.
@@ -53,12 +54,20 @@ CONFIGS = {
     ],
 }
 
+#: criterion 2's draw at the 10^6 window scale
+WIDE_K = "3930,12265,28038,59834,121105,245840,495979,993257"
+
 RUNS = [
     ("sets-schur", ["sets", "--k", "1,3,7,15", "--set", "schur", "--window", "-60:0"]),
     ("sets-schur-bounded", ["sets", "--k", "3,1,7", "--set", "schur", "--coeff-bound", "3",
                             "--window", "-20:20"]),
     ("sets-gj", ["sets", "--k", "1,3,7,15", "--set", "gj", "--j", "2", "--window", "-60:10"]),
     ("sets-dj", ["sets", "--k", "1,3,7,15", "--set", "dj", "--j", "2", "--window", "-40:-1"]),
+    ("sets-schur-wide", ["sets", "--k", WIDE_K, "--set", "schur", "--window", "-993257:0"]),
+    ("sets-gj-wide", ["sets", "--k", WIDE_K, "--set", "gj", "--j", "3",
+                      "--window", "-961461:31796"]),
+    ("sets-dj-wide", ["sets", "--k", WIDE_K, "--set", "dj", "--j", "3",
+                      "--window", "-993257:-1"]),
     ("sets-s", ["sets", "--k", "3,1,7,2,5", "--set", "s"]),
     ("sets-s-vector", ["sets", "--k", "2,1;0,3;5,-2;1,1", "--set", "s"]),
     ("sets-riesz", ["sets", "--k", "1,3,7,15", "--set", "riesz"]),

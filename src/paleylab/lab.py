@@ -116,21 +116,20 @@ class Instance:
 def forbidden_members(inst: Instance) -> SetReport:
     """The forbidden set inside [-M, M], exact or the instance is rejected."""
     e = inst.enumeration
-    w = Window(-inst.M, inst.M)
-    if inst.forbidden == "negative-halfline":
-        return SetReport([(n,) for n in range(-inst.M, 0)], True)
-    if inst.forbidden == "outside-K-positive":
-        kset = set(inst.k)
-        return SetReport([(n,) for n in range(1, inst.M + 1) if n not in kset], True)
     if inst.forbidden == "schur":
-        return schur_set(e, w)
-    if inst.forbidden == "s":
-        rep = s_set(e)
-        return SetReport([m for m in rep.members if w.contains(m)], True)
-    if inst.forbidden == "alternating":
-        rep = alt_sum_set(e)
-        return SetReport([m for m in rep.members if w.contains(m)], True)
-    return SetReport([(n,) for n in inst.custom_forbidden if w.contains((n,))], True)
+        return schur_set(e, Window(-inst.M, inst.M))
+    if inst.forbidden == "negative-halfline":
+        ms = np.arange(-inst.M, 0)
+    elif inst.forbidden == "outside-K-positive":
+        ms = np.arange(1, inst.M + 1)
+        ms = ms[~np.isin(ms, inst.k)]
+    elif inst.forbidden == "s":
+        ms = np.array(s_set(e).scalars(), np.int64)
+    elif inst.forbidden == "alternating":
+        ms = np.array(alt_sum_set(e).scalars(), np.int64)
+    else:  # listed values outside the window need not fit in int64
+        ms = np.array([n for n in inst.custom_forbidden if abs(n) <= inst.M], np.int64)
+    return SetReport.of_scalars([ms[np.abs(ms) <= inst.M]], True)
 
 
 def certified_forbidden(inst: Instance) -> set[int]:

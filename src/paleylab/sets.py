@@ -10,6 +10,7 @@ m = k_i - Σ n_j' Δk_j'; their agreement is a tested identity, not shared code.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,13 @@ class Window:
 
 @dataclass(frozen=True)
 class SetReport:
-    """Sorted members found inside a window plus a completeness flag."""
+    """Members found inside a window plus a completeness flag.
+
+    `members` is a sorted tuple of distinct frequency tuples of Python ints;
+    a scalar member n is the 1-tuple (n,).  The constructor canonicalises any
+    iterable of frequencies; `of_scalars` builds the same form from int64
+    arrays of scalar members without passing through Python sets.
+    """
 
     members: tuple
     exact: bool
@@ -115,6 +122,17 @@ class SetReport:
         vs = sorted({as_vec(m) for m in members})
         object.__setattr__(self, "members", tuple(vs))
         object.__setattr__(self, "exact", bool(exact))
+
+    @classmethod
+    def of_scalars(cls, parts, exact) -> SetReport:
+        """Report of the integers in the int64 arrays `parts`, repeats allowed."""
+        a = np.sort(np.concatenate([np.zeros(0, np.int64), *parts]))
+        if a.size:
+            a = a[np.concatenate(([True], a[1:] != a[:-1]))]
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "members", tuple(zip(a.tolist())))
+        object.__setattr__(rep, "exact", bool(exact))
+        return rep
 
     def as_set(self) -> set:
         return set(self.members)
@@ -171,30 +189,26 @@ def _closure(reach: np.ndarray, g: int) -> np.ndarray:
     return r.reshape(-1)[:n]
 
 
-def _nonneg_combos(gens, cap: int) -> np.ndarray:
-    """Boolean table of Σ n_i g_i over nonnegative integers n, on [0, cap]."""
-    reach = np.zeros(max(cap, 0) + 1, bool)
-    if cap < 0:
-        return reach
-    reach[0] = True
-    for g in sorted(set(gens)):
-        reach = _closure(reach, g)
-    return reach
-
-
-def _window_slice(ms: np.ndarray, lo: int, hi: int) -> list[int]:
-    """The values of an integer array inside [lo, hi], as Python ints."""
-    return ms[(ms >= lo) & (ms <= hi)].tolist()
-
-
-def _gap_translates(top: int, gens, w: Window, nonzero: bool = False) -> list[int]:
-    """Window members of top - Σ n_i g_i over nonnegative integers n_i, with
-    some n_i positive when `nonzero`."""
+def _gap_blocks(blocks, gaps, w: Window) -> SetReport:
+    """Window members of top - Σ_{j' >= i} n_j' gaps[j'] over nonnegative
+    integers n, with some n positive when `nonzero`, united over the blocks
+    (top, i, nonzero).  One table per gap suffix serves every block."""
     lo, hi = w.lo[0], w.hi[0]
-    vals = np.nonzero(_nonneg_combos(gens, top - lo))[0]
-    if nonzero:
-        vals = vals[vals > 0]
-    return _window_slice(top - vals, lo, hi)
+    cap = max((top for top, _, _ in blocks), default=lo - 1) - lo
+    if cap < 0:
+        return SetReport.of_scalars([], True)
+    # tables[i] marks the sums Σ_{j' >= i} n_j' gaps[j'] on [0, cap]
+    tables = [np.zeros(cap + 1, bool)]
+    tables[0][0] = True
+    for g in reversed(gaps):
+        tables.append(_closure(tables[-1], g))
+    tables.reverse()
+    parts = []
+    for top, i, nonzero in blocks:
+        if top >= lo:  # sums t in [start, top - lo] land in the window
+            start = max(top - hi, int(nonzero))
+            parts.append(top - start - np.flatnonzero(tables[i][start : top - lo + 1]))
+    return SetReport.of_scalars(parts, True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +229,7 @@ def required_coeff_bound(e: Enumeration, w: Window) -> int:
     return 1 + (max(ks) - w.lo[0]) // min(gaps)
 
 
-def _schur_increasing_dp(ks: list[int], lo: int, hi: int) -> list[int]:
+def _schur_increasing_dp(ks: list[int], lo: int, hi: int) -> np.ndarray:
     # Walk the partial sums s_1..s_{J-1} through their admissible phases and
     # track the accumulated T = Σ s_j Δk_j, since the value is k_J - T.
     # Phase "pre": before the first positive partial sum (all zero, T = 0).
@@ -226,7 +240,7 @@ def _schur_increasing_dp(ks: list[int], lo: int, hi: int) -> list[int]:
     J = len(ks)
     tmax = ks[-1] - lo
     if J < 2 or tmax < 0:
-        return []
+        return np.zeros(0, np.int64)
     gaps = [b - a for a, b in zip(ks, ks[1:])]
     p1 = np.zeros(tmax + 1, bool)
     p2 = np.zeros(tmax + 1, bool)
@@ -236,18 +250,16 @@ def _schur_increasing_dp(ks: list[int], lo: int, hi: int) -> list[int]:
         if g <= tmax:
             new1[g] = True                      # pre -> p1 (s_j = 1)
             new1[g:] |= p1[:-g]                 # p1 -> p1 (s_j = 1)
+            # the least s_j of each move into p2; one closure under +g adds
+            # the larger s_j of all three moves at once
+            new2[g:] = p2[:-g]                  # p2 -> p2 (s_j >= 1)
             if 2 * g <= tmax:
-                start = np.zeros(tmax + 1, bool)
-                start[2 * g] = True
-                new2 |= _closure(start, g)      # pre -> p2 (s_j >= 2)
-                shifted = np.zeros(tmax + 1, bool)
-                shifted[2 * g:] = p1[: tmax + 1 - 2 * g]
-                new2 |= _closure(shifted, g)    # p1 -> p2 (s_j >= 2)
-            shifted = np.zeros(tmax + 1, bool)
-            shifted[g:] = p2[:-g]
-            new2 |= _closure(shifted, g)        # p2 -> p2 (s_j >= 1)
+                new2[2 * g] = True              # pre -> p2 (s_j >= 2)
+                new2[2 * g:] |= p1[: tmax + 1 - 2 * g]  # p1 -> p2 (s_j >= 2)
+            new2 = _closure(new2, g)
         p1, p2 = new1, new2
-    return _window_slice(ks[-1] - np.nonzero(p2)[0], lo, hi)
+    start = max(ks[-1] - hi, 0)  # values k_J - T inside the window
+    return ks[-1] - start - np.flatnonzero(p2[start:])
 
 
 def _sign_walk(vecs, bound: int = 1, w: Window | None = None,
@@ -309,7 +321,7 @@ def schur_set(e: Enumeration, w: Window, coeff_bound: int | None = None) -> SetR
         needed = required_coeff_bound(e, w)
         if coeff_bound is None or coeff_bound >= needed:
             members = _schur_increasing_dp(e.scalars(), w.lo[0], w.hi[0])
-            return SetReport(members, True)
+            return SetReport.of_scalars([members], True)
     bound = coeff_bound if coeff_bound is not None else 4
     return SetReport(_sign_walk(e.entries, bound, w, DFS_NODE_CAP), False)
 
@@ -327,11 +339,7 @@ def schur_set_via_gaps(e: Enumeration, w: Window) -> SetReport:
     """
     _require_increasing(e)
     ks = e.scalars()
-    gaps = e.gaps()
-    out: set[int] = set()
-    for i in range(1, len(ks)):
-        out.update(_gap_translates(ks[i - 1], gaps[i - 1 :], w, nonzero=True))
-    return SetReport(out, True)
+    return _gap_blocks([(ks[i - 1], i - 1, True) for i in range(1, e.J)], e.gaps(), w)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +401,8 @@ def g_set(j: int, e: Enumeration, w: Window) -> SetReport:
     if not 1 <= j < J:
         raise ValueError(f"index j={j} out of range 1..{J - 1}")
     ks = e.scalars()
-    gaps = e.gaps()
-    out: set[int] = set()
-    for i in range(1, min(j + 1, J - 1) + 1):
-        out.update(_gap_translates(ks[i - 1], gaps[i - 1 :], w, nonzero=i == j + 1))
-    return SetReport(out, True)
+    blocks = [(ks[i - 1], i - 1, i == j + 1) for i in range(1, min(j + 1, J - 1) + 1)]
+    return _gap_blocks(blocks, e.gaps(), w)
 
 
 def d_set(j: int, e: Enumeration, w: Window) -> SetReport:
@@ -415,12 +420,11 @@ def d_set(j: int, e: Enumeration, w: Window) -> SetReport:
     if j == J:
         return SetReport([], True)
     gaps = e.gaps()
-    out: set[int] = set()
-    for i in range(1, j + 1):  # block [i, j], each coefficient >= 1 there
-        out.update(_gap_translates(-sum(gaps[i - 1 : j]), gaps[i - 1 :], w))
+    # block [i, j], each coefficient >= 1 there
+    blocks = [(-sum(gaps[i - 1 : j]), i - 1, False) for i in range(1, j + 1)]
     if j + 1 <= J - 1:  # no index <= j used; some index above j nonzero
-        out.update(_gap_translates(0, gaps[j:], w, nonzero=True))
-    return SetReport(out, True)
+        blocks.append((0, j, True))
+    return _gap_blocks(blocks, gaps, w)
 
 
 def preorder_less(j: int, m, n, e: Enumeration, w: Window) -> bool:
@@ -429,7 +433,9 @@ def preorder_less(j: int, m, n, e: Enumeration, w: Window) -> bool:
     difference below the window cannot be decided and raises."""
     diff = vec_sub(as_vec(m), as_vec(n))[0]
     if w.lo[0] <= diff <= w.hi[0]:
-        return diff in {v[0] for v in d_set(j, e, w).members}
+        ms = d_set(j, e, w).members
+        i = bisect_left(ms, (diff,))
+        return i < len(ms) and ms[i] == (diff,)
     if diff >= 0:
         return False
     raise UndecidableWindow("undecidable within window")

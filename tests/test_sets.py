@@ -344,6 +344,86 @@ def test_d_set_additively_closed():
                         assert a + b in mem, (ks, j, a, b)
 
 
+def _oracle_block(top, suffix, lo, hi, nonzero):
+    """Window members of top - Σ n_j' g_j' over nonnegative n (some n positive
+    when `nonzero`), from a fresh table for this block alone: each gap closes
+    it by doubling shifts of that gap."""
+    cap = top - lo
+    if cap < 0:
+        return set()
+    reach = np.zeros(cap + 1, bool)
+    reach[0] = True
+    for g in suffix:
+        shift = g
+        while shift <= cap:
+            np.logical_or(reach[shift:], reach[:-shift].copy(), out=reach[shift:])
+            shift *= 2
+    return {top - t for t in np.flatnonzero(reach).tolist()
+            if lo <= top - t <= hi and (t > 0 or not nonzero)}
+
+
+def _oracle_gap_sets(ks, lo, hi):
+    """Schur via gaps, G_{j+1} for j = 1..J-1 and D_j for j = 1..J, each the
+    union of its per-block recomputations."""
+    J = len(ks)
+    gaps = [b - a for a, b in zip(ks, ks[1:])]
+    schur = set()
+    for i in range(1, J):
+        schur |= _oracle_block(ks[i - 1], gaps[i - 1 :], lo, hi, True)
+    g = {}
+    for j in range(1, J):
+        g[j] = set()
+        for i in range(1, min(j + 1, J - 1) + 1):
+            g[j] |= _oracle_block(ks[i - 1], gaps[i - 1 :], lo, hi, i == j + 1)
+    d = {J: set()}
+    for j in range(1, J):
+        d[j] = set()
+        for i in range(1, j + 1):
+            d[j] |= _oracle_block(-sum(gaps[i - 1 : j]), gaps[i - 1 :], lo, hi, False)
+        if j + 1 <= J - 1:
+            d[j] |= _oracle_block(0, gaps[j:], lo, hi, True)
+    return schur, g, d
+
+
+def _gap_cases():
+    rng = np.random.default_rng(20261019)
+    cases = [
+        ([1, 3, 7], (-9, 3)),
+        ([1, 3, 7, 15], (-40, -1)),
+        ([2, 5, 11, 23], (3, 9)),        # every D_j block top lies below the window
+        ([5, 9, 20, 41], (-4, -1)),      # top - lo < 0 for the low D_j blocks
+        ([10, 30, 70], (25, 60)),        # empty reports
+        ([4, 6, 8, 10, 12, 14, 16], (-50, 20)),
+    ]
+    for _ in range(60):
+        J = int(rng.integers(2, 8))
+        ks = np.cumsum(rng.integers(1, 40, size=J)).tolist()
+        lo = int(rng.integers(-3 * ks[-1], ks[-1]))
+        hi = int(rng.integers(lo, ks[-1] + 10))
+        cases.append((ks, (lo, hi)))
+    return cases
+
+
+def _assert_canonical(rep, expected):
+    ms = rep.members
+    assert all(type(m) is tuple and len(m) == 1 and type(m[0]) is int for m in ms)
+    assert all(a < b for a, b in zip(ms, ms[1:]))  # sorted and distinct
+    assert rep.exact
+    assert set(rep.scalars()) == expected
+
+
+@pytest.mark.parametrize("ks, window", _gap_cases())
+def test_gap_sets_match_per_block_oracle(ks, window):
+    e = Enumeration(ks)
+    w = Window(*window)
+    schur, g, d = _oracle_gap_sets(ks, *window)
+    _assert_canonical(schur_set_via_gaps(e, w), schur)
+    for j in range(1, len(ks)):
+        _assert_canonical(g_set(j, e, w), g[j])
+    for j in range(1, len(ks) + 1):
+        _assert_canonical(d_set(j, e, w), d[j])
+
+
 def test_schur_equals_union_of_shifted_g_sets():
     for ks in ([1, 3, 7], [2, 5, 11, 23], [1, 3, 7, 15, 31]):
         e = Enumeration(ks)
@@ -404,6 +484,19 @@ def test_preorder_undecidable():
     e = Enumeration([1, 3, 7])
     with pytest.raises(UndecidableWindow):
         preorder_less(1, -50, 0, e, Window(-9, -1))
+
+
+def test_preorder_less_matches_set_membership():
+    e = Enumeration([2, 5, 11, 23])
+    w = Window(-30, -1)
+    pairs = [(m, 0) for m in range(-30, 3)] + [(2, 5), (5, 11), (11, 23), (7, 30), (-8, 9), (40, 9)]
+    for j in range(1, e.J + 1):
+        dj = d_set(j, e, w).as_set()
+        for m, n in pairs:
+            assert preorder_less(j, m, n, e, w) is ((m - n,) in dj), (j, m, n)
+        for m, n in [(-31, 0), (-8, 40)]:
+            with pytest.raises(UndecidableWindow):
+                preorder_less(j, m, n, e, w)
 
 
 def test_inclusion_s_in_schur_riesz():
