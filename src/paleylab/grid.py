@@ -167,11 +167,18 @@ def spectrum_of(f: GridFunction) -> dict[Vec, complex]:
 def synth(spectrum: dict, spec: GridSpec) -> GridFunction:
     """Samples of Σ c_n e^{i n·t} for a windowed spectrum."""
     acc = np.zeros(spec.dims, complex)
-    for n, c in spectrum.items():
-        spec.require_window(n)
-        v = as_vec(n)
-        idx = tuple(ci % d for ci, d in zip(v, spec.dims))
-        acc[idx] += c
+    keys = list(spectrum)
+    try:
+        freqs = np.array(keys, np.int64).reshape(len(keys), spec.ndim)
+    except (ValueError, TypeError, OverflowError):
+        for n in keys:  # names the first bad key, in order
+            spec.require_window(n)
+        freqs = np.array([as_vec(n) for n in keys], np.int64).reshape(len(keys), spec.ndim)
+    outside = np.any(np.abs(freqs) > np.array(spec.window_half), axis=1)
+    if outside.any():
+        spec.require_window(keys[int(np.argmax(outside))])
+    values = np.array(list(spectrum.values()), complex)
+    np.add.at(acc, tuple((freqs % np.array(spec.dims)).T), values)
     return GridFunction(spec, np.fft.ifftn(acc) * spec.size)
 
 

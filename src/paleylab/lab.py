@@ -149,28 +149,32 @@ def instance_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(index)])
 
 
-def make_instance(inst: Instance, rng: np.random.Generator | None = None) -> GridFunction:
+def make_instance(
+    inst: Instance, rng: np.random.Generator | None = None, forbidden: set[int] | None = None
+) -> GridFunction:
     """Draw the seeded random spectrum for an instance and synthesize it.
 
     The spectrum has independent complex standard Gaussian coefficients on
     the window minus the forbidden set, coefficients on K forced nonzero,
-    and is scaled to unit discrete L1 norm.
+    and is scaled to unit discrete L1 norm.  `forbidden`, when given, is the
+    template's `certified_forbidden` set.
     """
     if max(abs(x) for x in inst.k) > inst.M:
         raise ValueError("enumeration exceeds the window")
-    forbidden = certified_forbidden(inst)
+    if forbidden is None:
+        forbidden = certified_forbidden(inst)
     if rng is None:
         rng = instance_rng(inst.seed, 0)
     spec = inst.grid()
-    spectrum: dict[int, complex] = {}
-    for n in range(-inst.M, inst.M + 1):
-        if n in forbidden:
-            continue
-        spectrum[n] = complex(rng.standard_normal(), rng.standard_normal())
+    ns = np.arange(-inst.M, inst.M + 1)
+    ns = ns[~np.isin(ns, np.fromiter(forbidden, np.int64, len(forbidden)))]
+    # one draw of 2n normals gives the same stream as n pairs of scalar draws
+    coeffs = rng.standard_normal(2 * ns.size).view(complex)
+    spectrum = dict(zip(ns.tolist(), coeffs.tolist()))
     for k in inst.k:
         while abs(spectrum[k]) < 1e-6:
             spectrum[k] = complex(rng.standard_normal(), rng.standard_normal())
-    f = synth({(n,): c for n, c in spectrum.items()}, spec)
+    f = synth(spectrum, spec)
     scale = norm_l1(f)
     if scale == 0:
         raise ValueError("degenerate zero instance")
@@ -225,17 +229,33 @@ def schur_dsets(e: Enumeration) -> list[list]:
     return [list(d_set(j, e, w).members) for j in range(1, e.J + 1)]
 
 
-def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9) -> dict:
-    """Build one seeded instance, replay if a mode applies, check everything."""
+def _template_sets(inst: Instance):
+    """What `run_one` needs of a template alone: its certified forbidden set
+    and, for a Schur replay, the D_j lists.  None when building them fails;
+    `run_one` then rebuilds them and reports the error per instance."""
+    try:
+        forbidden = certified_forbidden(inst)
+        schur = inst.replay_mode() == "new" and inst.forbidden == "schur"
+        return forbidden, schur_dsets(inst.enumeration) if schur else None
+    except Exception:
+        return None
+
+
+def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9, sets=None) -> dict:
+    """Build one seeded instance, replay if a mode applies, check everything.
+    `sets` is the template's `_template_sets`, built here when not given."""
+    forbidden, dsets = sets or (None, None)
     rng = instance_rng(master_seed, index)
-    f = make_instance(inst, rng)
+    f = make_instance(inst, rng, forbidden)
     violations: list[str] = []
     worst = 0.0
     mode = inst.replay_mode()
     trace_json = None
     if mode is not None:
         if mode == "new" and inst.forbidden == "schur":
-            trace = replay(f, inst.enumeration, mode="new", dsets=schur_dsets(inst.enumeration))
+            if dsets is None:
+                dsets = schur_dsets(inst.enumeration)
+            trace = replay(f, inst.enumeration, mode="new", dsets=dsets)
         else:
             trace = replay(f, inst.enumeration, mode=mode)
         violations.extend(trace.check(tol))
@@ -294,10 +314,10 @@ def failure_dump(inst: Instance, index: int, master_seed: int, f: GridFunction, 
 
 
 def _pool_entry(args):
-    inst_json, index, master_seed = args
+    inst_json, index, master_seed, sets = args
     inst = Instance.from_json(inst_json)
     try:
-        return run_one(inst, index, master_seed)
+        return run_one(inst, index, master_seed, sets=sets)
     except Exception as exc:  # a broken template is a campaign failure, not a crash
         return {
             "index": index,
@@ -332,8 +352,11 @@ def run_campaign(
         workers = default_workers()
     jobs = []
     for t, template in enumerate(templates):
+        inst_json = template.to_json()
+        # built once per template and call: no set outlives the campaign
+        sets = _template_sets(Instance.from_json(inst_json)) if trials else None
         for i in range(trials):
-            jobs.append((template.to_json(), t * trials + i, master_seed))
+            jobs.append((inst_json, t * trials + i, master_seed, sets))
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 

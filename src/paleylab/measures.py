@@ -320,11 +320,9 @@ def random_density_measure(
     else:
         forbidden = {m[0] for m in _hypothesis_members(e, M, hypothesis)}
     rng = np.random.default_rng([seed, 211])
-    spectrum = {}
-    for n in range(-M, M + 1):
-        if n in forbidden:
-            continue
-        spectrum[(n,)] = complex(rng.standard_normal(), rng.standard_normal())
+    ns = [n for n in range(-M, M + 1) if n not in forbidden]
+    coeffs = rng.standard_normal(2 * len(ns)).view(complex).tolist()
+    spectrum = dict(zip(((n,) for n in ns), coeffs))
     for k in e.scalars():
         # the hypothesis wins where it overlaps K: those coefficients stay 0
         if k not in forbidden and abs(k) <= M and abs(spectrum[(k,)]) < 1e-6:

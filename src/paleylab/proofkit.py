@@ -13,6 +13,14 @@ estimate as a computed residual.  Modes:
 * "complementary": increasing subspaces over the finite index blocks
   [-k_j, 0); hypothesis is vanishing at positive frequencies outside K.
 
+Projections are solved in coefficient space: on the grid <c e_b, c e_a> =
+(|c|^2)^(a - b) and <v, c e_a> = (v conj c)^(a), so projecting onto
+span{c e_n : n in D} is a |D| x |D| Hermitian solve whose (multilevel)
+Toeplitz Gram matrix is gathered from one FFT of |c|^2 (|f| for c = sqrt|f|,
+1 for bare characters).  Its eigenvalues above (1e-10 s_max)^2 give the
+pseudo-inverse.  Distances are Gram norms of coefficient differences, never
+differences of squared norms.
+
 Index sets are truncated to the grid, so the projections Q_j onto the
 modulated images are built per shift (which makes the intertwining with the
 P_j exact by construction), while the nesting conditions are verified at the
@@ -28,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeOrder, Vec, as_vec, vec_add, vec_scale, vec_sub
-from .grid import GridFunction, GridSpec, grid_character, norm_l1, norm_l2
+from .grid import GridFunction, norm_l1, norm_l2
 from .sets import Enumeration
 
-SVD_RELATIVE_THRESHOLD = 1e-10
+RANK_THRESHOLD = 1e-10
 HYPOTHESIS_TOLERANCE = 1e-12
 
 
@@ -75,83 +83,54 @@ def factorize(f: GridFunction) -> Factorization:
 
 
 # ---------------------------------------------------------------------------
-# subspaces
+# projections in coefficient space
 # ---------------------------------------------------------------------------
 
-class _ZeroSpace:
-    dim = 0
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return np.zeros_like(v)
+def _at(arr: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """arr at the residues of the frequencies ns (integer array, last axis d)."""
+    return arr[tuple(np.moveaxis(ns % np.array(arr.shape), -1, 0))]
 
 
-class _FullSpace:
-    def __init__(self, dim):
-        self.dim = dim
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return v.copy()
+def _gram(F: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """<c e_q, c e_p> = F(n_p - n_q) for n_p in rows and n_q in cols, where F
+    holds the coefficients of |c|^2."""
+    return _at(F, rows[:, None, :] - cols[None, :, :])
 
 
-class _BasisSpace:
-    """Orthonormal column basis of span{carrier * char(n) : n in ns}."""
+class _Span:
+    """span{c e_n : n in ns} for a carrier c, worked in coefficient space.
 
-    def __init__(self, spec: GridSpec, ns, carrier: np.ndarray | None):
-        self.spec = spec
-        self.ns = [as_vec(n) for n in ns]
-        if not self.ns:
-            self.dim = 0
-            self.basis = np.zeros((spec.size, 0), complex)
-            self.basis_h = self.basis.conj().T
-            return
-        cols = np.empty((spec.size, len(self.ns)), complex)
-        for i, n in enumerate(self.ns):
-            char = grid_character(spec, n)
-            col = char if carrier is None else carrier * char
-            cols[:, i] = col.ravel()
-        m = cols.shape[1]
-        if spec.size * m * m <= 50_000_000 or m < 8:
-            u, s, _ = np.linalg.svd(cols, full_matrices=False)
-            rank = int(np.sum(s > s[0] * SVD_RELATIVE_THRESHOLD)) if s.size else 0
-            self.basis = u[:, :rank]
-        else:
-            # tall case: eigendecompose the Gram matrix (same singular spectrum,
-            # much cheaper), then polish orthonormality with one small Cholesky
-            # correction without changing the span.
-            gram = cols.conj().T @ cols
-            eigvals, eigvecs = np.linalg.eigh(gram)
-            smax = float(np.sqrt(max(eigvals[-1], 0.0)))
-            floor = max(smax * SVD_RELATIVE_THRESHOLD, smax * 1e-8 * np.sqrt(m))
-            keep = np.sqrt(np.clip(eigvals, 0, None)) > floor
-            sub = cols @ (eigvecs[:, keep] / np.sqrt(eigvals[keep]))
-            g2 = sub.conj().T @ sub
-            chol = np.linalg.cholesky(g2)
-            self.basis = sub @ np.linalg.inv(chol).conj().T
-        self.basis_h = self.basis.conj().T
-        self.dim = self.basis.shape[1]
+    Its Gram matrix is gathered from F, the coefficients of |c|^2, and its
+    eigenpairs above the rank cut (1e-10 s_max)^2 give the pseudo-inverse
+    that solves every projection: for any v, P v = sum_p x_p c e_{n_p} with
+    G x = r and r_p = <v, c e_{n_p}>.
+    """
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros_like(v)
-        out = self.basis @ (self.basis_h @ v.ravel())
-        return out.reshape(v.shape)
+    def __init__(self, F: np.ndarray, ns: np.ndarray):
+        self.F, self.ns = F, ns
+        self.gram = _gram(F, ns, ns)
+        lam, vec = np.linalg.eigh(self.gram)
+        keep = lam > RANK_THRESHOLD**2 * max(lam[-1] if lam.size else 0.0, 0.0)
+        self.lam, self.vec = lam[keep], vec[:, keep]
 
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return self.vec @ ((self.vec.conj().T @ r) / self.lam)
 
-class _MaskSpace:
-    """Spectral subspace span{char(n) : n in ns}; projection is an FFT mask."""
+    def basis_max(self, r: np.ndarray) -> float:
+        """Largest |<v, u_i>| over the orthonormal basis u_i of the span."""
+        return float(np.max(np.abs(self.vec.conj().T @ r) / np.sqrt(self.lam), initial=0.0))
 
-    def __init__(self, spec: GridSpec, ns):
-        self.spec = spec
-        mask = np.zeros(spec.dims, bool)
-        for n in ns:
-            mask[tuple(c % d for c, d in zip(as_vec(n), spec.dims))] = True
-        self.mask = mask
-        self.dim = int(mask.sum())
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        hat = np.fft.fftn(v)
-        hat[~self.mask] = 0
-        return np.fft.ifftn(hat)
+    def defect(self, ts: np.ndarray, x: np.ndarray) -> float:
+        """||v - P v|| for v = sum_t x_t c e_t, as the Gram norm of v's
+        coefficients minus the projection's over the union of both index
+        sets, one coordinate per residue."""
+        both = np.concatenate([self.ns, ts])
+        flat = np.ravel_multi_index(tuple((both % np.array(self.F.shape)).T), self.F.shape)
+        _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
+        y = np.zeros(first.size, complex)
+        np.add.at(y, inv, np.concatenate([-self.solve(_gram(self.F, self.ns, ts) @ x), x]))
+        union = both[first]
+        return float(np.sqrt(max(np.vdot(y, _gram(self.F, union, union) @ y).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +253,8 @@ class ProofTrace:
 # replay internals
 # ---------------------------------------------------------------------------
 
-def _basis_inner_max(space, demodulated: np.ndarray, size: int, spec) -> float:
-    """Largest |(v, basis vector)| over an orthonormal basis of the space."""
-    if isinstance(space, _BasisSpace):
-        if space.dim == 0:
-            return 0.0
-        return float(np.max(np.abs(space.basis_h @ demodulated.ravel())) / np.sqrt(size))
-    if isinstance(space, _MaskSpace):
-        hat = np.fft.fftn(demodulated.reshape(spec.dims)) / size
-        return float(np.max(np.abs(hat[space.mask]))) if space.dim else 0.0
-    return 0.0
-
-
-def _ip(a: np.ndarray, b: np.ndarray, size: int) -> complex:
-    return complex(np.vdot(b, a) / size)
-
-
 def _n2(a: np.ndarray, size: int) -> float:
     return float(np.sqrt(max(np.vdot(a, a).real / size, 0.0)))
-
-
-def _hat_at(hat: np.ndarray, dims, n) -> complex:
-    return complex(hat[tuple(c % d for c, d in zip(as_vec(n), dims))])
 
 
 def _check_support_and_hypothesis(f: GridFunction, forbidden, f_l2, label):
@@ -307,13 +266,17 @@ def _check_support_and_hypothesis(f: GridFunction, forbidden, f_l2, label):
         idx = np.unravel_index(int(np.argmax(outside)), spec.dims)
         rep = tuple(int(c) if c <= d // 2 else int(c) - d for c, d in zip(idx, spec.dims))
         raise SupportViolation(f"spectrum extends outside the window at {rep}")
-    for n in forbidden:
-        idx = tuple(c % d for c, d in zip(as_vec(n), spec.dims))
-        if abs(hat[idx]) > HYPOTHESIS_TOLERANCE * max(f_l2, 1e-300):
-            raise HypothesisViolation(
-                f"{label}: coefficient at forbidden frequency "
-                f"{n[0] if len(as_vec(n)) == 1 else n} is {abs(hat[idx]):.3e}"
-            )
+    if not len(forbidden):
+        return
+    vals = np.abs(_at(hat, np.array(forbidden, np.int64).reshape(len(forbidden), spec.ndim)))
+    bad = vals > HYPOTHESIS_TOLERANCE * max(f_l2, 1e-300)
+    if bad.any():
+        i = int(np.argmax(bad))
+        n = forbidden[i]
+        raise HypothesisViolation(
+            f"{label}: coefficient at forbidden frequency "
+            f"{n[0] if len(as_vec(n)) == 1 else n} is {vals[i]:.3e}"
+        )
 
 
 def _windowed_set_flags(ks, dsets, box_lo, box_hi):
@@ -358,60 +321,63 @@ def _cone_set_flags(ks, dsets, order: ConeOrder):
     return membership, antinest, gnest
 
 
-def _two_step_trace(f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden, flags):
-    """Shared two-step machinery for the "new" and "classic" modes."""
+def _freqs(ns, d: int) -> np.ndarray:
+    return np.array(ns, np.int64).reshape(len(ns), d)
+
+
+def _two_step_trace(f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp=None):
+    """Shared two-step machinery for the "new" and "classic" modes.
+
+    L_j = span{c e_n : n in D_j} for the carrier c, Q_j = A_{j+1} L_j (its
+    generators are D_j + k_{j+1}), Q_0 = 0 and Q_J the whole space.  hexp =
+    (frequencies, coefficients) expands h = c sum eta_t e_t; None means h = c.
+    """
     spec = f.spec
-    size = spec.size
+    d = spec.ndim
     J = len(e_ks)
     f_l2 = norm_l2(f)
     _check_support_and_hypothesis(f, forbidden, f_l2, f"mode {mode}")
 
     hat = f.hat()
-    g, h = gfun.samples, hfun.samples
+    F = np.fft.fftn(np.abs(carrier) ** 2) / spec.size
+    gc = np.fft.fftn(gfun.samples * np.conj(carrier)) / spec.size  # <g, c e_n>
+    hs, eta = hexp if hexp is not None else (np.zeros((1, d), np.int64), np.ones(1, complex))
+    ks = _freqs(e_ks, d)
+    Ls = [_Span(F, _freqs(ds, d)) for ds in dsets]
+    ph = [L.solve(_gram(F, L.ns, hs) @ eta) for L in Ls]  # P_j h
 
-    make = (lambda ns: _MaskSpace(spec, ns)) if carrier is None else (
-        lambda ns: _BasisSpace(spec, ns, carrier)
-    )
-    Ls = [make(ds) for ds in dsets]
-    Qs: list = [None] * (J + 1)
-    Qs[0] = _ZeroSpace()
-    for j in range(1, J):
-        Qs[j] = make([vec_add(n, e_ks[j]) for n in dsets[j - 1]])
-    Qs[J] = _FullSpace(size)
-
-    chars = [grid_character(spec, k) for k in e_ks]
     a = np.zeros(J, complex)
     b = np.zeros(J, complex)
     rows = []
-    qg = [Qs[j].apply(g) for j in range(J + 1)]
-    for j in range(1, J + 1):
-        Ajh = chars[j - 1] * h
-        a[j - 1] = _ip(qg[j] - qg[j - 1], Ajh, size)
-        b[j - 1] = _ip(qg[j - 1], Ajh, size)
-        target = _hat_at(hat, spec.dims, e_ks[j - 1])
-        identity = abs(a[j - 1] + b[j - 1] - target)
-        mem = _n2(Ajh - Qs[j].apply(Ajh), size) if j < J else 0.0
-        inter = 0.0
-        btwo = 0.0
-        if j >= 2:
-            Pjm1_h = Ls[j - 2].apply(h)
-            inter = _n2(chars[j - 1] * Pjm1_h - Qs[j - 1].apply(Ajh), size)
-            Pj_h = Ls[j - 1].apply(h)
-            btwo = abs(b[j - 1] - _ip(g, chars[j - 1] * (Pjm1_h - Pj_h), size))
-        # g against the actual basis vectors of A_j L_j = char_j * L_j
-        orth = max(
-            (abs(_hat_at(hat, spec.dims, vec_add(n, e_ks[j - 1]))) for n in dsets[j - 1]),
-            default=0.0,
-        )
-        demod = (g * np.conj(chars[j - 1])).ravel()
-        orth = max(orth, _basis_inner_max(Ls[j - 1], demod, size, spec))
-        rows.append(
-            TraceRow(j, e_ks[j - 1], a[j - 1], b[j - 1], target, identity, mem, inter, orth, btwo)
-        )
-
     qdefect = 0.0
-    for j in range(2, J):
-        qdefect = max(qdefect, _n2(qg[j - 1] - Qs[j].apply(qg[j - 1]), size))
+    for i in range(J):
+        k, ah = ks[i], hs + ks[i]  # A_j h = c sum eta_t e_{t + k_j}
+        on_ak = _at(gc, Ls[i].ns + k)  # <g, c e_n> on A_j L_j
+        inter = btwo = 0.0
+        if i:
+            # Q_{j-1} = A_j L_{j-1}: same Gram matrix, generators shifted by k_j
+            L = Ls[i - 1]
+            s = _gram(F, L.ns + k, ah) @ eta
+            b[i] = np.vdot(s, cq)  # <Q_{j-1} g, A_j h>, cq from the row before
+            # A_j P_{j-1} h's coefficients in Q_{j-1}'s equations for A_j h
+            inter = float(np.linalg.norm(L.gram @ ph[i - 1] - s))
+            btwo = abs(b[i] - (np.vdot(ph[i - 1], _at(gc, L.ns + k)) - np.vdot(ph[i], on_ak)))
+        if i + 1 < J:
+            L, up = Ls[i], ks[i + 1]
+            if i:  # Q_{j-1} g against Q_j
+                qdefect = max(qdefect, L.defect(Ls[i - 1].ns + k - up, cq))
+            cq = L.solve(_at(gc, L.ns + up))  # Q_j g
+            top = np.vdot(_gram(F, L.ns + up, ah) @ eta, cq)  # <Q_j g, A_j h>
+            mem = L.defect(ah - up, eta)  # the distance of A_j h from Q_j
+        else:
+            top = np.vdot(eta, _at(gc, ah))
+            mem = 0.0
+        a[i] = top - b[i]
+        target = complex(_at(hat, k))
+        orth = max(float(np.max(np.abs(_at(hat, Ls[i].ns + k)), initial=0.0)),
+                   Ls[i].basis_max(on_ak))
+        identity = abs(a[i] + b[i] - target)
+        rows.append(TraceRow(i + 1, e_ks[i], a[i], b[i], target, identity, mem, inter, orth, btwo))
 
     return _assemble_trace(
         f, mode, e_ks, rows, a, b, f_l2, flags, Factorization(gfun, hfun), qdefect, depth
@@ -423,7 +389,7 @@ def _assemble_trace(f, mode, ks, rows, a, b, f_l2, flags, fac, qdefect, depth) -
     (membership, D_j nesting, shifted-set nesting) verdicts."""
     size = f.spec.size
     hat = f.hat()
-    on_k = float(np.sqrt(sum(abs(_hat_at(hat, f.spec.dims, k)) ** 2 for k in ks)))
+    on_k = float(np.sqrt(sum(abs(complex(_at(hat, np.array(k)))) ** 2 for k in ks)))
     l1 = norm_l1(f)
     if l1 == 0:
         raise ValueError("zero function has no ratio")
@@ -512,12 +478,16 @@ def replay(
         for n in range(1, N // 2 + 1):
             if abs(hhat[(-n) % N]) > 1e-12 * max(hl2, 1e-300):
                 h_degree = n
-        carrier = None
+        # bare characters: carrier 1, and h expanded over its coefficients
+        carrier = np.ones(spec.dims, complex)
+        hs = -np.arange(h_degree + 1).reshape(-1, 1)
+        hexp = (hs, _at(hhat, hs))
     else:
         fac = factorization if factorization is not None else factorize(f)
         gfun, hfun = fac.g, fac.h
         carrier = hfun.samples
         h_degree = 0
+        hexp = None
 
     if dsets is None:
         if not all(b > 2 * a for a, b in zip(ks, ks[1:])):
@@ -545,7 +515,9 @@ def replay(
 
     kvecs = [(k,) for k in ks]
     flags = _windowed_set_flags(kvecs, dvecs, floor, (-1,))
-    return _two_step_trace(f, kvecs, dvecs, carrier, gfun, hfun, mode, depth, forbidden, flags)
+    return _two_step_trace(
+        f, kvecs, dvecs, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp
+    )
 
 
 def replay_sets(
@@ -590,49 +562,44 @@ def _replay_complementary(f: GridFunction, ks: list[int], factorization):
     _check_support_and_hypothesis(f, forbidden, f_l2, "mode complementary")
 
     fac = factorization if factorization is not None else factorize(f)
-    g, h = fac.g.samples, fac.h.samples
     hat = f.hat()
+    F = np.fft.fftn(np.abs(fac.h.samples) ** 2) / size
+    gc = np.fft.fftn(fac.g.samples * np.conj(fac.h.samples)) / size  # <g, h e_n>
+    kv = _freqs(ks, 1)
+    # P_j = span{h e_n : n in [-k_j, 0)}; Q_j = A_j P_j has generators [0, k_j)
+    Ps = [_Span(F, np.arange(-k, 0).reshape(-1, 1)) for k in ks]
+    rh = [_at(F, P.ns) for P in Ps]  # <h, h e_n> = <A_j h, h e_{n + k_j}>
+    ph = [P.solve(r) for P, r in zip(Ps, rh)]  # P_j h
+    cq = [P.solve(_at(gc, P.ns + k)) for P, k in zip(Ps, kv)]  # Q_j g
 
-    mspaces = [_BasisSpace(spec, [(n,) for n in range(-k, 0)], h) for k in ks]
-    qspaces: list = [None] * (J + 2)
-    for j in range(1, J + 1):
-        qspaces[j] = _BasisSpace(spec, [(n,) for n in range(0, ks[j - 1])], h)
-    qspaces[J + 1] = _FullSpace(size)
-
-    def P(j, v):
-        return np.zeros_like(v) if j == 0 else mspaces[j - 1].apply(v)
-
-    chars = [grid_character(spec, (k,)) for k in ks]
     a = np.zeros(J, complex)
     b = np.zeros(J, complex)
     rows = []
-    qg = [None] + [qspaces[j].apply(g) for j in range(1, J + 2)]
-    for j in range(1, J + 1):
-        Ajh = chars[j - 1] * h
-        a[j - 1] = _ip(qg[j + 1] - qg[j], Ajh, size)
-        b[j - 1] = _ip(g, chars[j - 1] * (P(j, h) - P(j - 1, h)), size)
-        target = _hat_at(hat, spec.dims, (ks[j - 1],))
-        identity = abs(a[j - 1] + b[j - 1] - target)
-        mem = _n2(Ajh - qspaces[j + 1].apply(Ajh), size) if j < J else 0.0
-        inter = _n2(chars[j - 1] * P(j, h) - qspaces[j].apply(Ajh), size)
-        orth = 0.0
-        if j >= 2:
-            orth = max(
-                (
-                    abs(_hat_at(hat, spec.dims, (n + ks[j - 1],)))
-                    for n in range(-ks[j - 2], 0)
-                ),
-                default=0.0,
-            )
-            demod = (g * np.conj(chars[j - 1])).ravel()
-            orth = max(orth, _basis_inner_max(mspaces[j - 2], demod, size, spec))
-        rows.append(
-            TraceRow(j, (ks[j - 1],), a[j - 1], b[j - 1], target, identity, mem, inter, orth, 0.0)
-        )
-
     qdefect = 0.0
-    for j in range(1, J):
-        qdefect = max(qdefect, _n2(qg[j] - qspaces[j + 1].apply(qg[j]), size))
+    for i, k in enumerate(kv):
+        low = np.vdot(rh[i], cq[i])  # <Q_j g, A_j h>
+        if i + 1 < J:
+            P, up = Ps[i + 1], kv[i + 1]
+            top = np.vdot(_at(F, P.ns + up - k), cq[i + 1])  # <Q_{j+1} g, A_j h>
+            mem = P.defect((k - up).reshape(1, 1), np.ones(1))  # A_j h against Q_{j+1}
+            qdefect = max(qdefect, P.defect(Ps[i].ns + k - up, cq[i]))  # Q_j g against Q_{j+1}
+        else:
+            top, mem = complex(_at(gc, k)), 0.0
+        first = np.vdot(ph[i], _at(gc, Ps[i].ns + k))  # <g, A_j P_j h>
+        b[i], orth = first, 0.0
+        if i:
+            P = Ps[i - 1]
+            on_prev = _at(gc, P.ns + k)  # <g, h e_n> on A_j P_{j-1}
+            b[i] -= np.vdot(ph[i - 1], on_prev)
+            orth = max(float(np.max(np.abs(_at(hat, P.ns + k)), initial=0.0)), P.basis_max(on_prev))
+        a[i] = top - low
+        target = complex(_at(hat, k))
+        # the solve residual of P_j h, whose coefficients Q_j = A_j P_j reuses
+        inter = float(np.linalg.norm(Ps[i].gram @ ph[i] - rh[i]))
+        btwo = abs(first - low)  # b_j's first term taken through Q_j instead
+        rows.append(TraceRow(
+            i + 1, (ks[i],), a[i], b[i], target, abs(a[i] + b[i] - target), mem, inter, orth, btwo
+        ))
 
     increasing = all(a < b for a, b in zip(ks, ks[1:]))
     flags = (all(b > 2 * a for a, b in zip(ks, ks[1:])), increasing, increasing)

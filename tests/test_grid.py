@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paleylab.cones import as_vec
 from paleylab.grid import (
     GridFunction,
     GridSpec,
@@ -69,6 +70,40 @@ def test_synth_coeff_roundtrip(seed):
     err = max(abs(coeff(f, n) - spectrum[(n,)]) for n in range(-64, 65))
     scale = max(abs(v) for v in spectrum.values())
     assert err <= 1e-12 * scale
+
+
+def synth_loop(spectrum, spec):
+    """Reference: the per-key loop that `synth` vectorises."""
+    acc = np.zeros(spec.dims, complex)
+    for n, c in spectrum.items():
+        spec.require_window(n)
+        acc[tuple(ci % d for ci, d in zip(as_vec(n), spec.dims))] += c
+    return np.fft.ifftn(acc) * spec.size
+
+
+def test_synth_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    line, plane = GridSpec((32,), (10,)), GridSpec((12, 9), (5, 4))
+    cases = [
+        (line, {(n,): complex(*rng.standard_normal(2)) for n in range(-10, 11)}),
+        (line, {3: rng.standard_normal(), -4: 1j, (0,): 2.0}),
+        (plane, {v: complex(*rng.standard_normal(2)) for v in plane.window_points()}),
+        (line, {}),
+    ]
+    for spec, spectrum in cases:
+        assert np.array_equal(synth(spectrum, spec).samples, synth_loop(spectrum, spec))
+
+
+def test_synth_names_first_bad_key():
+    spec = GridSpec((32,), (10,))
+    with pytest.raises(WindowViolation, match=r"\(-11,\)"):
+        synth({(1,): 1.0, (-11,): 1.0, (12,): 1.0}, spec)
+    with pytest.raises(WindowViolation, match=r"\(11,\)"):
+        synth({(1,): 1.0, (11,): 1.0, (1, 2): 1.0}, spec)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        synth({(1, 2): 1.0, (11,): 1.0}, spec)
+    with pytest.raises(WindowViolation):
+        synth({(10**30,): 1.0}, spec)
 
 
 def test_synth_empty_spectrum_is_zero():

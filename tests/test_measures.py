@@ -190,3 +190,14 @@ def test_total_order_reduction():
     mu = DensityMeasure(synth(spectrum, spec))
     rep = measure_bound_via_total_order(mu, e, cone, spec)
     assert rep.check() == []
+
+
+def test_lift_pipeline_seven_entries():
+    # J = 7 runs on a 559,872-point grid with |D_1| = 126: a sample-space
+    # basis would be a 559,872 x 126 complex matrix (about 1.1 GB), while the
+    # coefficient-space replay only factors Gram matrices of at most 126 x 126
+    e = Enumeration([7, -13, 29, 4, -2, 17, 53])
+    mu = random_density_measure(e, "s", M=125, seed=7)
+    rep = check_measure_bound_via_lift(mu, e)
+    assert rep.check() == []
+    assert rep.ratio > 0

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from paleylab.cones import ConeOrder
-from paleylab.grid import GridFunction, GridSpec, norm_l2, synth
+from paleylab.cones import ConeOrder, as_vec, vec_add, vec_scale
+from paleylab.grid import GridFunction, GridSpec, grid_character, norm_l2, synth
 from paleylab.proofkit import (
     Factorization,
     HypothesisViolation,
     SupportViolation,
-    _BasisSpace,
+    _at,
+    _Span,
     factorize,
     replay,
     replay_group,
@@ -53,9 +54,36 @@ def test_factorize_random_residuals():
 
 # --- subspaces and projections ----------------------------------------------
 
+class EngineSpan:
+    """The replay engine's span of carrier * e^{i n t} over ns (bare
+    characters for None), applied to sample vectors."""
+
+    def __init__(self, spec, ns, carrier):
+        self.spec = spec
+        self.c = np.ones(spec.dims, complex) if carrier is None else carrier
+        F = np.fft.fftn(np.abs(self.c) ** 2) / spec.size
+        self.S = _Span(F, np.array([as_vec(n) for n in ns], np.int64).reshape(-1, spec.ndim))
+        self.dim = self.S.lam.size
+
+    def samples(self, coef):
+        """sum_p coef_p c e_{n_p} on the grid."""
+        acc = np.zeros(self.spec.dims, complex)
+        np.add.at(acc, tuple((self.S.ns % np.array(self.spec.dims)).T), coef)
+        return self.c * np.fft.ifftn(acc) * self.spec.size
+
+    def apply(self, v):
+        r = _at(np.fft.fftn(v * np.conj(self.c)) / self.spec.size, self.S.ns)
+        return self.samples(self.S.solve(r))
+
+    def basis(self):
+        """Orthonormal basis of the span, one column of samples each."""
+        cols = self.S.vec / np.sqrt(self.S.lam)
+        return np.stack([self.samples(col).ravel() for col in cols.T], axis=1)
+
+
 def span(ns, carrier, spec):
-    """Orthonormal span of carrier * e^{i n t} over ns (bare characters for None)."""
-    return _BasisSpace(spec, [(n,) for n in ns], None if carrier is None else carrier.samples)
+    """Span of carrier * e^{i n t} over ns (bare characters for None)."""
+    return EngineSpan(spec, ns, None if carrier is None else carrier.samples)
 
 
 def project(v, S):
@@ -76,7 +104,8 @@ def test_span_characters_orthonormal():
     spec = GridSpec((32,), (10,))
     S = span([0, 1], None, spec)
     assert S.dim == 2
-    assert np.max(np.abs(S.basis_h @ S.basis - np.eye(2))) < 1e-12
+    basis = S.basis()
+    assert np.max(np.abs(basis.conj().T @ basis / spec.size - np.eye(2))) < 1e-12
     # the span is the two characters: each one is reproduced
     for n in (0, 1):
         e_n = synth({(n,): 1.0}, spec)
@@ -494,3 +523,167 @@ def test_replay_certifies_optimizer_extremal_candidate():
     tr = replay(res.best, e, mode="new", dsets=dsets)
     assert tr.check() == []
     assert abs(tr.ratio - res.ratio) < 1e-6
+
+
+# --- engine against a sample-space oracle ----------------------------------------
+
+class SampleSpan:
+    """Oracle: orthonormal basis of span{carrier e_n : n in ns} from the SVD of
+    the N x m sample matrix, rank cut at 1e-10 of the largest singular value."""
+
+    def __init__(self, spec, ns, carrier):
+        cols = [(carrier * grid_character(spec, n)).ravel() for n in ns]
+        self.basis = np.zeros((spec.size, 0), complex)
+        if cols:
+            u, s, _ = np.linalg.svd(np.stack(cols, axis=1), full_matrices=False)
+            self.basis = u[:, : int(np.sum(s > s[0] * 1e-10))]
+
+    def apply(self, v):
+        return (self.basis @ (self.basis.conj().T @ v.ravel())).reshape(v.shape)
+
+
+def test_engine_projection_matches_oracle():
+    rng = np.random.default_rng(4)
+    spec = GridSpec((64,), (20,))
+    h = factorize(random_function(spec, range(-20, 21), 2)).h
+    for ns in (range(-8, -2), range(0, 11), [-5, 3, 9]):
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        oracle = SampleSpan(spec, [(n,) for n in ns], h.samples).apply(v)
+        assert np.max(np.abs(span(ns, h, spec).apply(v) - oracle)) < 1e-12
+
+
+def _ip(x, y):
+    return complex(np.vdot(y, x) / x.size)
+
+
+def oracle_two_step(f, ks, dsets, carrier, g, h):
+    """a_j, b_j of the two-step split with Q_j = span{c e_n : n in D_j + k_{j+1}}."""
+    spec, J = f.spec, len(ks)
+    qg = [np.zeros_like(g)]
+    for j in range(1, J):
+        qg.append(SampleSpan(spec, [vec_add(n, ks[j]) for n in dsets[j - 1]], carrier).apply(g))
+    qg.append(g)
+    ajh = [grid_character(spec, k) * h for k in ks]
+    a = [_ip(qg[j + 1] - qg[j], ajh[j]) for j in range(J)]
+    b = [_ip(qg[j], ajh[j]) for j in range(J)]
+    return a, b
+
+
+def oracle_complementary(f, ks):
+    """a_j, b_j of the complementary split over the blocks [-k_j, 0)."""
+    spec, J = f.spec, len(ks)
+    fac = factorize(f)
+    g, h = fac.g.samples, fac.h.samples
+    qg = [SampleSpan(spec, [(n,) for n in range(0, k)], h).apply(g) for k in ks] + [g]
+    ph = [np.zeros_like(h)]
+    ph += [SampleSpan(spec, [(n,) for n in range(-k, 0)], h).apply(h) for k in ks]
+    chars = [grid_character(spec, (k,)) for k in ks]
+    a = [_ip(qg[j + 1] - qg[j], chars[j] * h) for j in range(J)]
+    b = [_ip(g, chars[j] * (ph[j + 1] - ph[j])) for j in range(J)]
+    return a, b
+
+
+def assert_matches_oracle(tr, f, a, b, tol=1e-12):
+    assert max(abs(r.a - x) for r, x in zip(tr.rows, a)) <= tol
+    assert max(abs(r.b - x) for r, x in zip(tr.rows, b)) <= tol
+    assert abs(tr.sum_a_sq - sum(abs(x) ** 2 for x in a)) <= tol
+    assert abs(tr.sum_b_sq - sum(abs(x) ** 2 for x in b)) <= tol
+    l1 = float(np.mean(np.abs(f.samples)))
+    on_k = np.sqrt(sum(abs(f.hat()[tuple(np.mod(k, f.spec.dims))]) ** 2 for k in tr.ks))
+    assert abs(tr.f_l1 - l1) <= tol
+    assert abs(tr.ratio - on_k / l1) <= tol
+
+
+@pytest.fixture
+def two_step_inputs(monkeypatch):
+    """Records the inputs of every two-step replay the engine runs."""
+    import paleylab.proofkit as pk
+
+    seen = []
+    inner = pk._two_step_trace
+
+    def record(f, e_ks, dsets, carrier, gfun, hfun, *rest):
+        seen.append((f, e_ks, dsets, carrier, gfun.samples, hfun.samples))
+        return inner(f, e_ks, dsets, carrier, gfun, hfun, *rest)
+
+    monkeypatch.setattr(pk, "_two_step_trace", record)
+    return seen
+
+
+def check_two_step(tr, inputs):
+    f, ks, dsets, carrier, g, h = inputs
+    a, b = oracle_two_step(f, ks, dsets, carrier, g, h)
+    assert_matches_oracle(tr, f, a, b)
+
+
+def test_engine_matches_oracle_new_mode(two_step_inputs):
+    for seed in range(3):
+        f = random_function(GridSpec((192,), (48,)), range(0, 49), seed)
+        check_two_step(replay(f, Enumeration([2, 5, 11, 23]), mode="new"), two_step_inputs[-1])
+    for ks, M in (([2, 5, 11, 23], 40), ([4, 5, 9], 16)):
+        for seed in range(3):
+            f, e, dsets = theorem5_instance(ks, M, seed)
+            check_two_step(replay(f, e, mode="new", dsets=dsets), two_step_inputs[-1])
+    # near-zeros of a modulated Riesz product make the Gram matrices ill-conditioned
+    from paleylab.riesz import riesz_polynomial
+
+    spec = GridSpec((512,), (90,))
+    base, _ = riesz_polynomial([2, 5, 11, 23], spec)
+    f = GridFunction(spec, base.samples * np.exp(1j * 41 * spec.axis_points(0)))
+    check_two_step(replay(f, Enumeration([3, 8, 17, 36]), mode="new"), two_step_inputs[-1])
+
+
+def test_engine_matches_oracle_classic(two_step_inputs):
+    spec = GridSpec((512,), (60,))
+    for seed in range(3):
+        f, fac = analytic_pair(spec, deg=7, shift=2, seed=seed)
+        tr = replay(f, Enumeration([3, 8, 17]), mode="classic", factorization=fac)
+        check_two_step(tr, two_step_inputs[-1])
+
+
+def test_engine_matches_oracle_complementary():
+    ks = [2, 5, 11, 23]
+    for seed in range(3):
+        f = complementary_instance(ks, 40, seed)
+        tr = replay(f, Enumeration(ks), mode="complementary")
+        assert_matches_oracle(tr, f, *oracle_complementary(f, ks))
+
+
+def test_engine_matches_oracle_group(two_step_inputs):
+    rng = np.random.default_rng(8)
+    lex = ConeOrder("lex-last", dim=2)
+    quadrant = ConeOrder("generators", dim=2, generators=((1, 0), (0, 1)), bound=48)
+    cases = [
+        (lex, GridSpec((32, 16), (12, 6)), [(5, 1), (0, 3)]),
+        (quadrant, GridSpec((32, 48), (12, 18)), [(1, 1), (3, 4), (8, 16)]),
+    ]
+    for order, spec, ks in cases:
+        spectrum = {
+            v: complex(*rng.standard_normal(2))
+            for v in spec.window_points()
+            if not order.in_strict_cone(vec_scale(-1, v))
+        }
+        tr = replay_group(synth(spectrum, spec), Enumeration(ks), order)
+        assert tr.check() == []
+        check_two_step(tr, two_step_inputs[-1])
+
+
+def test_engine_matches_oracle_lift(two_step_inputs):
+    from paleylab.measures import check_measure_bound_via_lift, random_density_measure
+
+    for seed, gammas in enumerate([[3, -5, 8], [5, -3, 11, 2], [-2, 6, -9, 12, 1]]):
+        e = Enumeration(gammas)
+        rep = check_measure_bound_via_lift(random_density_measure(e, "s", M=32, seed=seed), e)
+        assert rep.check() == [], gammas
+        check_two_step(rep.trace, two_step_inputs[-1])
+
+
+def test_missing_generator_fails_membership():
+    # without k_1 - k_2 in D_1, h e_{k_1} is no generator of Q_1: the
+    # computed distance from Q_1 must show it, not only the set-level flag
+    f, e, dsets = theorem5_instance([2, 5, 11, 23], 40, 0)
+    gap = (2 - 5,)
+    dsets[0] = [m for m in dsets[0] if m != gap]
+    tr = replay(f, e, mode="new", dsets=dsets)
+    assert tr.rows[0].membership_residual > 1e-6
+    assert tr.check() != []
