@@ -4,7 +4,8 @@
 Runs a fixed list of `paleylab.cli.main` calls in process (set listings,
 among them three at the 10^6 window scale of acceptance criterion 2, Riesz
 expansions, the lift check, a replay in each mode, a criterion-3 campaign
-under `--no-timing --workers 1`, and two measure chains) and prints one
+under `--no-timing --workers 1`, and measure chains: density and atomic
+chains on Z under each hypothesis and density and atomic lifts) and prints one
 `name sha256` line per report.  Two checkouts produce the same lines exactly
 when every report is byte-identical.  Uses the `src/` next to this script.
 
@@ -52,6 +53,11 @@ CONFIGS = {
         {"k": [1, 3, 7], "hypothesis": "schur-riesz", "seed": 5},
         {"k": [7, -13, 29, 4], "lift": True, "seed": 2},
     ],
+    "measures-atomic.json": {"k": [2, 5, 11], "hypothesis": "schur-riesz", "type": "atomic",
+                             "M": 24, "seed": 1},
+    "measures-negative.json": {"k": [1, 3, 7], "hypothesis": "negative", "M": 16, "seed": 4},
+    "measures-lift-atomic.json": {"k": [3, -5, 8], "lift": True, "type": "atomic", "M": 24,
+                                  "seed": 4},
 }
 
 #: criterion 2's draw at the 10^6 window scale
@@ -80,6 +86,9 @@ RUNS = [
     ("verify-criterion3", ["verify", "--instances", "campaign.json", "--trials", "4",
                            "--seed", "7", "--workers", "1", "--no-timing"]),
     ("measures", ["measures", "--instances", "measures.json"]),
+    ("measures-atomic", ["measures", "--instances", "measures-atomic.json"]),
+    ("measures-negative", ["measures", "--instances", "measures-negative.json"]),
+    ("measures-lift-atomic", ["measures", "--instances", "measures-lift-atomic.json"]),
 ]
 
 
