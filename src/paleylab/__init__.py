@@ -22,7 +22,6 @@ from .sets import (
     check_inclusion_s_in_schur_riesz,
     d_set,
     g_set,
-    parse_problem_json,
     preorder_less,
     riesz_support,
     s_set,
@@ -106,7 +105,6 @@ __all__ = [
     "norm_l1",
     "norm_l2",
     "optimize_ratio",
-    "parse_problem_json",
     "preorder_less",
     "random_atomic_measure",
     "random_density_measure",

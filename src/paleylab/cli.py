@@ -12,7 +12,7 @@ import json
 import sys
 
 from .grid import GridFunction, synth
-from .lab import Instance, make_instance, run_campaign, schur_dsets
+from .lab import Instance, make_instance, replay_dsets, run_campaign
 from .lift import check_simple_s, lift_enumeration, lifted_s_set
 from .measures import (
     check_measure_bound,
@@ -123,11 +123,9 @@ def cmd_replay(args) -> int:
     dsets = d.get("dsets")
     if dsets is not None:
         dsets = [[tuple(m) if isinstance(m, (list, tuple)) else int(m) for m in ds] for ds in dsets]
-        trace = replay(f, inst.enumeration, mode=mode, dsets=dsets)
-    elif mode == "new" and inst.forbidden == "schur":
-        trace = replay(f, inst.enumeration, mode="new", dsets=schur_dsets(inst.enumeration))
     else:
-        trace = replay(f, inst.enumeration, mode=mode)
+        dsets = replay_dsets(inst, mode)
+    trace = replay(f, inst.enumeration, mode=mode, dsets=dsets)
     _dump_json(trace.to_json(), args.out)
     return 0 if trace.ok else 1
 
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int)
     sp.add_argument("--coeff-bound", type=int, default=None)
     sp.add_argument("--out")
-    sp.add_argument("--format", choices=["json"], default="json")
     sp.set_defaults(func=cmd_sets)
 
     rp = sub.add_parser("riesz", help="exact Riesz product expansion")

@@ -40,13 +40,6 @@ class ConeAxiomReport(NamedTuple):
     bound: int           # search bound used (0 for exact kinds)
     witness: Vec | None  # nontrivial representation of 0, if one was found
 
-    def describe(self) -> str:
-        if self.exact:
-            return "verified exactly" if self.pointed else "refuted exactly"
-        if self.pointed:
-            return f"verified up to bound {self.bound}"
-        return f"refuted (witness {self.witness})"
-
 
 class ExtremeLacunarity(NamedTuple):
     holds: bool
@@ -152,30 +145,6 @@ class ConeOrder:
     def less(self, a, b) -> bool:
         """a < b in the cone order."""
         return self.in_strict_cone(vec_sub(as_vec(b), as_vec(a)))
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "lex-last":
-            out["dim"] = self.dim
-        if self.kind == "generators":
-            out["dim"] = self.dim
-            out["generators"] = [list(g) for g in self.generators]
-            out["bound"] = self.bound
-        return out
-
-    @staticmethod
-    def from_json(d: dict) -> "ConeOrder":
-        kind = d["kind"]
-        if kind == "half-line":
-            return ConeOrder("half-line")
-        if kind == "lex-last":
-            return ConeOrder("lex-last", dim=int(d.get("dim", 1)))
-        return ConeOrder(
-            "generators",
-            dim=int(d["dim"]),
-            generators=tuple(tuple(g) for g in d["generators"]),
-            bound=int(d.get("bound", 64)),
-        )
 
 
 def is_strongly_lacunary(entries) -> bool:

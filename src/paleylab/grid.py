@@ -182,22 +182,6 @@ def synth(spectrum: dict, spec: GridSpec) -> GridFunction:
     return GridFunction(spec, np.fft.ifftn(acc) * spec.size)
 
 
-def spectrum_to_json(spectrum: dict) -> list:
-    """Triples (frequency, re, im), frequencies as ints or int lists."""
-    canon = {as_vec(k): complex(v) for k, v in spectrum.items()}
-    return [
-        [n[0] if len(n) == 1 else list(n), c.real, c.imag]
-        for n, c in sorted(canon.items())
-    ]
-
-
-def spectrum_from_json(rows) -> dict:
-    return {
-        (tuple(n) if isinstance(n, (list, tuple)) else (int(n),)): complex(re, im)
-        for n, re, im in rows
-    }
-
-
 def norm_l1(f: GridFunction) -> float:
     return float(np.mean(np.abs(f.samples)))
 

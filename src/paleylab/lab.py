@@ -133,8 +133,11 @@ def forbidden_members(inst: Instance) -> SetReport:
 
 
 def certified_forbidden(inst: Instance) -> set[int]:
-    """The forbidden frequencies inside [-M, M]; the set must be exact and
-    miss K, or the instance's hypothesis cannot be certified."""
+    """The forbidden frequencies inside [-M, M]; K must fit the window and
+    the set must be exact and miss K, or the instance's hypothesis cannot
+    be certified."""
+    if max(abs(x) for x in inst.k) > inst.M:
+        raise ValueError("enumeration exceeds the window")
     rep = forbidden_members(inst)
     if not rep.exact:
         raise HypothesisNotCertified("cannot certify hypothesis: forbidden set inexact")
@@ -159,8 +162,6 @@ def make_instance(
     and is scaled to unit discrete L1 norm.  `forbidden`, when given, is the
     template's `certified_forbidden` set.
     """
-    if max(abs(x) for x in inst.k) > inst.M:
-        raise ValueError("enumeration exceeds the window")
     if forbidden is None:
         forbidden = certified_forbidden(inst)
     if rng is None:
@@ -229,14 +230,21 @@ def schur_dsets(e: Enumeration) -> list[list]:
     return [list(d_set(j, e, w).members) for j in range(1, e.J + 1)]
 
 
+def replay_dsets(inst: Instance, mode: str) -> list[list] | None:
+    """The index sets a replay of `inst` in `mode` runs on: the Schur D_j
+    lists for a new-mode replay of a Schur template, else None (the
+    replay's own half-line sets)."""
+    if mode == "new" and inst.forbidden == "schur":
+        return schur_dsets(inst.enumeration)
+    return None
+
+
 def _template_sets(inst: Instance):
     """What `run_one` needs of a template alone: its certified forbidden set
-    and, for a Schur replay, the D_j lists.  None when building them fails;
-    `run_one` then rebuilds them and reports the error per instance."""
+    and its replay's index sets.  None when building them fails; `run_one`
+    then rebuilds them and reports the error per instance."""
     try:
-        forbidden = certified_forbidden(inst)
-        schur = inst.replay_mode() == "new" and inst.forbidden == "schur"
-        return forbidden, schur_dsets(inst.enumeration) if schur else None
+        return certified_forbidden(inst), replay_dsets(inst, inst.replay_mode())
     except Exception:
         return None
 
@@ -252,12 +260,9 @@ def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9, set
     mode = inst.replay_mode()
     trace_json = None
     if mode is not None:
-        if mode == "new" and inst.forbidden == "schur":
-            if dsets is None:
-                dsets = schur_dsets(inst.enumeration)
-            trace = replay(f, inst.enumeration, mode="new", dsets=dsets)
-        else:
-            trace = replay(f, inst.enumeration, mode=mode)
+        if sets is None:
+            dsets = replay_dsets(inst, mode)
+        trace = replay(f, inst.enumeration, mode=mode, dsets=dsets)
         violations.extend(trace.check(tol))
         worst = max(
             (

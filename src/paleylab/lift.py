@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import ConeOrder, Vec, as_vec, vec_scale, vec_sub
+from .cones import ConeOrder, Vec, vec_scale, vec_sub
 from .sets import Enumeration, SetReport, riesz_support, s_set
 
 
@@ -42,14 +42,6 @@ class LiftedEnumeration:
         for j, g in enumerate(self.gammas()):
             out.append((g,) + tuple(1 if i == j else 0 for i in range(J)))
         return out
-
-    def less(self, a, b) -> bool:
-        """(γ', n') < (γ, n) iff the last nonzero component of n - n' is positive."""
-        av, bv = as_vec(a), as_vec(b)
-        for x, y in zip(reversed(av[1:]), reversed(bv[1:])):
-            if x != y:
-                return y > x
-        return False
 
     def vector_order(self) -> ConeOrder:
         return ConeOrder("lex-last", dim=self.J)

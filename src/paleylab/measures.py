@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeOrder, as_vec
-from .grid import GridFunction, GridSpec, auto_spec, coeff, norm_l1, synth
+from .cones import ConeOrder, is_strongly_lacunary, vec_scale
+from .grid import GridFunction, GridSpec, auto_spec, norm_l1, synth
 from .lab import schur_dsets
 from .lift import (
     LiftedEnumeration,
@@ -50,20 +50,31 @@ class AtomicMeasure:
         object.__setattr__(self, "atoms", tuple(canon))
 
     @property
+    def dim(self) -> int:
+        return len(self.atoms[0][0]) if self.atoms else 1
+
+    @property
     def total_variation(self) -> float:
         return float(sum(abs(m) for _, m in self.atoms))
 
-    def hat(self, n) -> complex:
-        v = as_vec(n)
-        out = 0.0 + 0.0j
-        for loc, mass in self.atoms:
-            out += mass * np.exp(-1j * sum(c * x for c, x in zip(v, loc)))
-        return complex(out)
+    def hat(self, ns) -> np.ndarray:
+        """mu-hat at each frequency of `ns`, rows of `dim` ints.
 
-    def to_json(self) -> dict:
-        return {
-            "atoms": [[list(loc), m.real, m.imag] for loc, m in self.atoms]
-        }
+        One pass per atom, vectorised over the frequencies.  Mass times
+        e^{-i n.x} is formed from real and imaginary parts, so each entry
+        gets the float operations of a per-frequency sum over the atoms, in
+        the same order; numpy's vectorised complex product may fuse them.
+        """
+        freqs = np.asarray(ns, np.int64).reshape(-1, self.dim)
+        out = np.zeros(len(freqs), complex)
+        for loc, mass in self.atoms:
+            phase = np.zeros(len(freqs))
+            for c, x in zip(freqs.T, loc):
+                phase = phase + c * x
+            w = np.exp(-1j * phase)
+            out.real += mass.real * w.real - mass.imag * w.imag
+            out.imag += mass.real * w.imag + mass.imag * w.real
+        return out
 
 
 @dataclass(frozen=True)
@@ -73,39 +84,35 @@ class DensityMeasure:
     density: GridFunction
 
     @property
+    def dim(self) -> int:
+        return self.density.spec.ndim
+
+    @property
     def total_variation(self) -> float:
         return norm_l1(self.density)
 
-    def hat(self, n) -> complex:
-        # the density is a trig polynomial of windowed degree, so its
-        # transform vanishes identically beyond the window
-        if not self.density.spec.in_window(n):
-            return 0.0 + 0.0j
-        return coeff(self.density, n)
-
-    def to_json(self) -> dict:
-        from .grid import spectrum_of, spectrum_to_json
-
-        return {"density_spectrum": spectrum_to_json(spectrum_of(self.density))}
+    def hat(self, ns) -> np.ndarray:
+        """mu-hat at each frequency of `ns`, rows of `dim` ints: a gather
+        from the density's FFT.  The density is a trig polynomial of
+        windowed degree, so its transform vanishes beyond the window."""
+        spec = self.density.spec
+        freqs = np.asarray(ns, np.int64).reshape(-1, self.dim)
+        inside = np.all(np.abs(freqs) <= spec.window_half, axis=1)
+        return np.where(inside, self.density.hat()[tuple((freqs % spec.dims).T)], 0)
 
 
-def riesz_convolve(mu, K, spec: GridSpec | None = None) -> dict:
-    """Spectrum of mu convolved with the Riesz product of K.
+def riesz_convolve(mu, K, spec: GridSpec) -> GridFunction:
+    """f_K = mu convolved with the Riesz product of K, sampled on `spec`.
 
-    Entries are mu-hat(n) * c(n) over the Riesz support; everything must fit
-    the window of the target grid.
+    Coefficients are mu-hat(n) c(n) over the Riesz support; `synth` rejects
+    a support that does not fit the window.  For a lifted K, whose
+    frequencies (gamma, n) are longer than mu's, mu-hat is read at gamma:
+    that is the transform of the lifted measure.
     """
-    if spec is None:
-        if isinstance(mu, DensityMeasure):
-            spec = mu.density.spec
-        else:
-            raise ValueError("atomic measures need an explicit grid spec")
-    expansion = riesz_expansion(K)
-    out = {}
-    for n in expansion.support():
-        spec.require_window(n)
-        out[n] = mu.hat(n) * float(expansion[n])
-    return out
+    coeffs = riesz_expansion(K).spectrum()
+    freqs = np.array(list(coeffs), np.int64)
+    values = mu.hat(freqs[:, : mu.dim]) * np.array(list(coeffs.values()))
+    return synth(dict(zip(coeffs, values.tolist())), spec)
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,51 @@ def _hypothesis_members(e: Enumeration, M: int, hypothesis: str):
     raise ValueError(f"unknown hypothesis selector {hypothesis!r}")
 
 
+def _forbidden_frequencies(e: Enumeration, hypothesis: str, M: int) -> list[int]:
+    """Sorted frequencies in [-M, M] where a random measure's mu-hat must vanish;
+    hypothesis "s" is the lift's S((gamma_j))."""
+    if hypothesis == "s":
+        return sorted({m[0] for m in s_set(e).members if abs(m[0]) <= M})
+    return sorted({m[0] for m in _hypothesis_members(e, M, hypothesis)})
+
+
+def _measure_chain(mu, K, spec, hypothesis, members, replay_fk, c="4") -> MeasureChainReport:
+    """The chain |mu-hat|K|_2 <= 2|f_K-hat|K|_2 <= 4|f_K|_1 <= 4|mu|.
+
+    mu-hat must vanish on the hypothesis frequencies `members`; `replay_fk`
+    replays f_K = mu * R_K (on `spec`) into the trace of the middle link.  A
+    lifted K reads mu-hat at the gamma coordinate, as `riesz_convolve` does.
+    `c` is how the link labels name the constant 4.
+    """
+    tv = mu.total_variation
+    v = np.abs(mu.hat(members))
+    bad = np.flatnonzero(v > 1e-10 * max(tv, 1e-300))
+    if bad.size:
+        m = members[bad[0]]
+        raise ValueError(
+            f"hypothesis violation: mu-hat({m[0] if len(m) == 1 else m}) = {v[bad[0]]:.3e}"
+        )
+    trace = replay_fk(riesz_convolve(mu, K, spec))
+    gammas = np.array(K, np.int64)[:, : mu.dim]  # K in mu's coordinates
+    mu_on_k = math.sqrt(sum(abs(z) ** 2 for z in mu.hat(gammas).tolist()))
+    fk_on_k = trace.coeff_l2_on_k
+    fk_l1 = trace.f_l1
+    on_k = "lifted K" if len(K[0]) > mu.dim else "K"
+    links = (
+        (f"mu-hat on K vs 2 f_K-hat on {on_k}", mu_on_k, 2 * fk_on_k),
+        (f"2 f_K-hat on {on_k} vs {c} |f_K|_1", 2 * fk_on_k, 4 * fk_l1),
+        (f"{c} |f_K|_1 vs {c} |mu|", 4 * fk_l1, 4 * tv),
+    )
+    return MeasureChainReport(
+        hypothesis=hypothesis,
+        hypothesis_members=tuple(members),
+        links=links,
+        ratio=mu_on_k / tv,
+        trace=trace,
+        ceiling=2 * math.sqrt(2.0),
+    )
+
+
 def check_measure_bound(
     mu,
     e: Enumeration,
@@ -171,50 +223,19 @@ def check_measure_bound(
     chain link runs the projection replay on the Riesz convolution f_K.
     """
     ks = e.scalars()
-    if not all(b > 2 * a for a, b in zip(ks, ks[1:])):
+    if not is_strongly_lacunary(ks):
         raise ValueError("measure chain requires a strongly lacunary increasing K")
-    expansion = riesz_expansion(e.entries)
-    support = expansion.support()
-    need = max(abs(n[0]) for n in support)
+    need = sum(map(abs, ks))  # the Riesz support reaches +-(k_1 + ... + k_J)
     if M is None:
         M = need
     if M < need:
         raise ValueError("window too small for the Riesz support")
     spec = auto_spec(M) if N is None else GridSpec((N,), (M,))
-
-    members = _hypothesis_members(e, M, hypothesis)
-    scale = max(mu.total_variation, 1e-300)
-    for m in members:
-        v = abs(mu.hat(m))
-        if v > 1e-10 * scale:
-            raise ValueError(
-                f"hypothesis violation: mu-hat({m[0] if len(m) == 1 else m}) = {v:.3e}"
-            )
-
-    fk_spectrum = {n: mu.hat(n) * float(expansion[n]) for n in support}
-    f_k = synth(fk_spectrum, spec)
-
-    if hypothesis == "negative":
-        trace = replay(f_k, e, mode="new")
-    else:
-        trace = replay(f_k, e, mode="new", dsets=schur_dsets(e))
-
-    mu_on_k = math.sqrt(sum(abs(mu.hat(k)) ** 2 for k in e.entries))
-    fk_on_k = trace.coeff_l2_on_k
-    fk_l1 = trace.f_l1
-    tv = mu.total_variation
-    links = (
-        ("mu-hat on K vs 2 f_K-hat on K", mu_on_k, 2 * fk_on_k),
-        ("2 f_K-hat on K vs 4 |f_K|_1", 2 * fk_on_k, 4 * fk_l1),
-        ("4 |f_K|_1 vs 4 |mu|", 4 * fk_l1, 4 * tv),
-    )
-    return MeasureChainReport(
-        hypothesis=hypothesis,
-        hypothesis_members=members,
-        links=links,
-        ratio=mu_on_k / tv,
-        trace=trace,
-        ceiling=2 * math.sqrt(2.0),
+    return _measure_chain(
+        mu, e.entries, spec, hypothesis, _hypothesis_members(e, M, hypothesis),
+        lambda f_k: replay(
+            f_k, e, mode="new", dsets=None if hypothesis == "negative" else schur_dsets(e)
+        ),
     )
 
 
@@ -248,14 +269,7 @@ def check_measure_bound_via_lift(mu, e: Enumeration, tol: float = 1e-9) -> Measu
     pairs = le.pairs()
     J = le.J
 
-    s_members = lifted_s_set(le).members
-    base_s = sorted({m[0] for m in s_members})
-    scale = max(mu.total_variation, 1e-300)
-    for g in base_s:
-        v = abs(mu.hat(g))
-        if v > 1e-10 * scale:
-            raise ValueError(f"hypothesis violation: mu-hat({g}) = {v:.3e}")
-
+    base_s = sorted({m[0] for m in lifted_s_set(le).members})
     riesz = lifted_riesz_support(le)
     dsets = lifted_d_sets(le)
     schur = lifted_schur_set(le)
@@ -268,41 +282,17 @@ def check_measure_bound_via_lift(mu, e: Enumeration, tol: float = 1e-9) -> Measu
         + [abs(g) for g in le.gammas()]
     )
     spec = lifted_grid(le, gamma_need)
-
-    # f-tilde_K = lifted mu convolved with the lifted Riesz product
-    expansion = riesz_expansion(pairs)
-    fk_spectrum = {}
-    for n in expansion.support():
-        fk_spectrum[n] = mu.hat(n[0]) * float(expansion[n])
-    f_k = synth(fk_spectrum, spec)
-
     forbidden = [m for m in schur.members if spec.in_window(m)]
-    trace = replay_sets(
-        f_k,
-        pairs,
-        dsets,
-        window_lo=(-gamma_need,) + (-1,) * J,
-        window_hi=(gamma_need,) + (1,) * J,
-        forbidden=forbidden,
-    )
-
-    # pull-back: the lifted transform of mu-tilde at (gamma, n) is mu-hat(gamma)
-    mu_on_k = math.sqrt(sum(abs(mu.hat(g)) ** 2 for g in le.gammas()))
-    fk_on_k = trace.coeff_l2_on_k
-    fk_l1 = trace.f_l1
-    tv = mu.total_variation
-    links = (
-        ("mu-hat on K vs 2 f_K-hat on lifted K", mu_on_k, 2 * fk_on_k),
-        ("2 f_K-hat on lifted K vs 4 |f_K|_1", 2 * fk_on_k, 4 * fk_l1),
-        ("4 |f_K|_1 vs 4 |mu|", 4 * fk_l1, 4 * tv),
-    )
-    return MeasureChainReport(
-        hypothesis="s",
-        hypothesis_members=tuple((g,) for g in base_s),
-        links=links,
-        ratio=mu_on_k / tv,
-        trace=trace,
-        ceiling=2 * math.sqrt(2.0),
+    return _measure_chain(
+        mu, pairs, spec, "s", [(g,) for g in base_s],
+        lambda f_k: replay_sets(
+            f_k,
+            pairs,
+            dsets,
+            window_lo=(-gamma_need,) + (-1,) * J,
+            window_hi=(gamma_need,) + (1,) * J,
+            forbidden=forbidden,
+        ),
     )
 
 
@@ -315,10 +305,7 @@ def random_density_measure(
 ) -> DensityMeasure:
     """Seeded density with mu-hat vanishing on the hypothesis set, nonzero on K."""
     spec = auto_spec(M) if N is None else GridSpec((N,), (M,))
-    if hypothesis == "s":
-        forbidden = {m[0] for m in s_set(e).members if abs(m[0]) <= M}
-    else:
-        forbidden = {m[0] for m in _hypothesis_members(e, M, hypothesis)}
+    forbidden = set(_forbidden_frequencies(e, hypothesis, M))
     rng = np.random.default_rng([seed, 211])
     ns = [n for n in range(-M, M + 1) if n not in forbidden]
     coeffs = rng.standard_normal(2 * len(ns)).view(complex).tolist()
@@ -345,10 +332,7 @@ def random_atomic_measure(
     constraint matrix e^{-i n y_i} over the hypothesis frequencies; the
     residual of every constraint must come out below 1e-10.
     """
-    if hypothesis == "s":
-        constraints = sorted({m[0] for m in s_set(e).members if abs(m[0]) <= M})
-    else:
-        constraints = sorted({m[0] for m in _hypothesis_members(e, M, hypothesis)})
+    constraints = _forbidden_frequencies(e, hypothesis, M)
     rng = np.random.default_rng([seed, 73])
     n_atoms = len(constraints) + max(extra_atoms, 2)
     locs = rng.uniform(-np.pi, np.pi, size=n_atoms)
@@ -389,26 +373,8 @@ def measure_bound_via_total_order(
         for g in cone.generators:
             if not total.in_strict_cone(g):
                 raise ValueError("cone does not imbed in the lex-last order")
-    negatives = [v for v in spec.window_points() if total.in_strict_cone(tuple(-c for c in v))]
-    scale = max(mu.total_variation, 1e-300)
-    for m in negatives:
-        if abs(mu.hat(m)) > 1e-10 * scale:
-            raise ValueError(f"hypothesis violation: mu-hat({m}) nonzero")
-    expansion = riesz_expansion(e.entries)
-    fk_spectrum = {n: mu.hat(n) * float(expansion[n]) for n in expansion.support()}
-    f_k = synth(fk_spectrum, spec)
-    trace = replay_group(f_k, e, total)
-    mu_on_k = math.sqrt(sum(abs(mu.hat(g)) ** 2 for g in e.entries))
-    links = (
-        ("mu-hat on K vs 2 f_K-hat on K", mu_on_k, 2 * trace.coeff_l2_on_k),
-        ("2 f_K-hat on K vs 2C |f_K|_1", 2 * trace.coeff_l2_on_k, 4 * trace.f_l1),
-        ("2C |f_K|_1 vs 2C |mu|", 4 * trace.f_l1, 4 * mu.total_variation),
-    )
-    return MeasureChainReport(
-        hypothesis="negative-cone",
-        hypothesis_members=tuple(negatives),
-        links=links,
-        ratio=mu_on_k / mu.total_variation,
-        trace=trace,
-        ceiling=2 * math.sqrt(2.0),
+    negatives = [v for v in spec.window_points() if total.in_strict_cone(vec_scale(-1, v))]
+    return _measure_chain(
+        mu, e.entries, spec, "negative-cone", negatives,
+        lambda f_k: replay_group(f_k, e, total), c="2C",
     )

@@ -18,13 +18,15 @@ from .grid import GridFunction
 from .lab import Instance, certified_forbidden
 
 
+EPSILON = 1e-6  # smoothing scale, times max |f|
+STEP = 0.4
+STEP_DECAY = 0.995
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 6
     iterations: int = 250
-    epsilon: float = 1e-6      # smoothing scale, times max |f|
-    step: float = 0.4
-    step_decay: float = 0.995
     seed: int = 0
 
 
@@ -94,11 +96,11 @@ def optimize_ratio(
         c = np.where(allowed, c, 0)
         if not np.any(np.abs(c[kmask]) > 0):
             c[kmask] = 1.0
-        step = cfg.step
+        step = STEP
         for it in range(cfg.iterations):
             f = np.fft.ifft(c) * N
             absf = np.abs(f)
-            eps = cfg.epsilon * max(float(absf.max()), 1e-30)
+            eps = EPSILON * max(float(absf.max()), 1e-30)
             l1s = float(np.mean(np.sqrt(absf**2 + eps**2)))
             c = c / l1s  # scale invariance: work at smoothed norm 1
             f = f / l1s
@@ -112,7 +114,7 @@ def optimize_ratio(
             grad_den = np.fft.fft(f / smooth) / N
             grad = np.where(allowed, grad_num - phi * grad_den, 0)
             c = c + step * grad
-            step *= cfg.step_decay
+            step *= STEP_DECAY
             ratio = _ratio_unsmoothed(c, kmask, N)
             if ratio > best_ratio:
                 best_ratio = ratio

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeOrder, Vec, as_vec, vec_add, vec_scale, vec_sub
+from .cones import ConeOrder, Vec, as_vec, is_strongly_lacunary, vec_add, vec_scale, vec_sub
 from .grid import GridFunction, norm_l1, norm_l2
 from .sets import Enumeration
 
@@ -490,7 +490,7 @@ def replay(
         hexp = None
 
     if dsets is None:
-        if not all(b > 2 * a for a, b in zip(ks, ks[1:])):
+        if not is_strongly_lacunary(ks):
             raise ValueError(
                 "half-line replay requires a strongly lacunary increasing enumeration"
             )
@@ -550,7 +550,7 @@ def replay_sets(
 
 def _replay_complementary(f: GridFunction, ks: list[int], factorization):
     """Two-step replay over the finite blocks [-k_j, 0); everything is exact."""
-    if not all(b > 2 * a for a, b in zip(ks, ks[1:])):
+    if not is_strongly_lacunary(ks):
         raise ValueError("complementary replay requires a strongly lacunary enumeration")
     spec = f.spec
     size = spec.size
@@ -601,8 +601,9 @@ def _replay_complementary(f: GridFunction, ks: list[int], factorization):
             i + 1, (ks[i],), a[i], b[i], target, abs(a[i] + b[i] - target), mem, inter, orth, btwo
         ))
 
-    increasing = all(a < b for a, b in zip(ks, ks[1:]))
-    flags = (all(b > 2 * a for a, b in zip(ks, ks[1:])), increasing, increasing)
+    # a strongly lacunary (checked on entry) nonnegative K is increasing, so
+    # every set-level condition holds
+    flags = (True, True, True)
     return _assemble_trace(
         f, "complementary", [(k,) for k in ks], rows, a, b, f_l2, flags, fac, qdefect, max(ks)
     )

@@ -68,10 +68,6 @@ class Enumeration:
         ks = self.scalars()
         return [b - a for a, b in zip(ks, ks[1:])]
 
-    def to_json(self) -> dict:
-        ks = [v[0] if len(v) == 1 else list(v) for v in self.entries]
-        return {"k": ks}
-
 
 @dataclass(frozen=True)
 class Window:
@@ -439,26 +435,6 @@ def preorder_less(j: int, m, n, e: Enumeration, w: Window) -> bool:
     if diff >= 0:
         return False
     raise UndecidableWindow("undecidable within window")
-
-
-def parse_problem_json(d: dict):
-    """Parse the shared wire format {"k": ..., "window": ..., "cone": ...}.
-
-    Returns (enumeration, window or None, cone order or None); frequencies
-    may be integers or integer vectors.
-    """
-    from .cones import ConeOrder
-
-    ks = d["k"]
-    entries = [tuple(x) if isinstance(x, (list, tuple)) else int(x) for x in ks]
-    e = Enumeration(entries)
-    w = None
-    if "window" in d and d["window"] is not None:
-        lo, hi = d["window"]
-        w = Window(tuple(lo) if isinstance(lo, (list, tuple)) else lo,
-                   tuple(hi) if isinstance(hi, (list, tuple)) else hi)
-    cone = ConeOrder.from_json(d["cone"]) if d.get("cone") else None
-    return e, w, cone
 
 
 def check_inclusion_s_in_schur_riesz(e: Enumeration, w: Window):

@@ -104,6 +104,15 @@ def test_optimize_csv_log(tmp_path):
     assert len(lines) == 2 * 40 + 1
 
 
+def test_optimize_enumeration_outside_window_exits_2(tmp_path):
+    template = {"k": [2, 5, 11], "forbidden": "negative-halfline", "M": 4}
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps(template))
+    proc = run_cli("optimize", "--instances", str(path), "--restarts", "1", "--iterations", "5")
+    assert proc.returncode == 2
+    assert "exceeds the window" in proc.stderr
+
+
 def test_lift_command():
     proc = run_cli("lift", "--k", "1,3,7")
     assert proc.returncode == 0
@@ -191,19 +200,6 @@ def test_workers_env_variable(tmp_path, monkeypatch):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["instances"] == 2
-
-
-def test_problem_json_parse_helper():
-    from paleylab.sets import parse_problem_json
-
-    e, w, cone = parse_problem_json(
-        {"k": [1, 3, 7], "window": [-10, 0], "cone": {"kind": "half-line"}}
-    )
-    assert e.scalars() == [1, 3, 7]
-    assert w.lo[0] == -10 and w.hi[0] == 0
-    assert cone.kind == "half-line"
-    e2, w2, cone2 = parse_problem_json({"k": [[5, 1], [0, 3]]})
-    assert e2.dim == 2 and w2 is None and cone2 is None
 
 
 def test_measures_command(tmp_path):

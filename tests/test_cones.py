@@ -97,18 +97,3 @@ def test_riesz_support_of_lacunary_stays_in_cone_union():
             or cone.in_strict_cone(m)
             or cone.in_strict_cone(neg)
         ), m
-
-
-def test_cone_json_roundtrip():
-    for cone in (
-        ConeOrder("half-line"),
-        ConeOrder("lex-last", dim=3),
-        ConeOrder("generators", dim=2, generators=((2, 1), (0, 1)), bound=20),
-    ):
-        assert ConeOrder.from_json(cone.to_json()) == cone
-
-
-def test_axiom_report_describe():
-    cone = ConeOrder("generators", dim=2, generators=((1, 0),), bound=12)
-    assert cone.check_pointed().describe() == "verified up to bound 12"
-    assert ConeOrder("half-line").check_pointed().describe() == "verified exactly"

@@ -15,9 +15,10 @@ def test_pairs_and_order():
     le = lift_enumeration(Enumeration([5, 2, 9]))
     pairs = le.pairs()
     assert pairs == [(5, 1, 0, 0), (2, 0, 1, 0), (9, 0, 0, 1)]
-    # comparison ignores the first coordinate entirely
-    assert le.less((100, 1, 0, 0), (-100, 0, 1, 0))
-    assert not le.less((0, 0, 1, 0), (0, 1, 0, 0))
+    # pairs are ordered by their vector parts alone
+    order = le.vector_order()
+    assert order.less((1, 0, 0), (0, 1, 0))
+    assert not order.less((0, 1, 0), (1, 0, 0))
 
 
 def test_extreme_lacunarity_flag_exact():

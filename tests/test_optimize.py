@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from paleylab.grid import norm_l1
 from paleylab.lab import Instance, check_ratio
 from paleylab.optimize import OptimizerConfig, optimize_ratio
@@ -18,6 +20,13 @@ def test_result_is_feasible_and_consistent():
     assert abs(norm_l1(res.best) - 1) < 1e-9
     assert abs(check_ratio(res.best, [2, 5, 11]) - res.ratio) < 1e-6
     assert res.ratio <= math.sqrt(2) + 1e-6
+
+
+def test_enumeration_outside_window_rejected():
+    # on the 10-point grid of M = 4, k = 11 would alias onto frequency 1
+    inst = Instance(k=(2, 5, 11), forbidden="negative-halfline", M=4)
+    with pytest.raises(ValueError, match="exceeds the window"):
+        optimize_ratio(inst, OptimizerConfig(restarts=1, iterations=5))
 
 
 def test_iteration_log_monotone():
