@@ -172,7 +172,7 @@ def cmd_lift(args) -> int:
         "exact": le.extreme_lacunarity().exact,
         "simple_s_ok": ok,
         "witnesses": [list(wit) for wit in witnesses],
-        "s_members": [list(m) for m in lifted_s_set(le).members],
+        "s_members": lifted_s_set(le).array.tolist(),
     }
     _dump_json(payload, args.out)
     return 0 if ok else 1

@@ -164,20 +164,26 @@ def spectrum_of(f: GridFunction) -> dict[Vec, complex]:
     return out
 
 
-def synth(spectrum: dict, spec: GridSpec) -> GridFunction:
-    """Samples of Σ c_n e^{i n·t} for a windowed spectrum."""
+def synth(spectrum, spec: GridSpec) -> GridFunction:
+    """Samples of Σ c_n e^{i n·t} for a windowed spectrum: a mapping from
+    frequency to coefficient, or a pair (frequencies as (n, ndim) ints,
+    coefficients)."""
     acc = np.zeros(spec.dims, complex)
-    keys = list(spectrum)
-    try:
-        freqs = np.array(keys, np.int64).reshape(len(keys), spec.ndim)
-    except (ValueError, TypeError, OverflowError):
-        for n in keys:  # names the first bad key, in order
-            spec.require_window(n)
-        freqs = np.array([as_vec(n) for n in keys], np.int64).reshape(len(keys), spec.ndim)
+    if isinstance(spectrum, dict):
+        keys = list(spectrum)
+        try:
+            freqs = np.array(keys, np.int64).reshape(len(keys), spec.ndim)
+        except (ValueError, TypeError, OverflowError):
+            for n in keys:  # names the first bad key, in order
+                spec.require_window(n)
+            freqs = np.array([as_vec(n) for n in keys], np.int64).reshape(len(keys), spec.ndim)
+        values = np.array(list(spectrum.values()), complex)
+    else:
+        freqs, values = spectrum
+        freqs = np.asarray(freqs, np.int64).reshape(len(freqs), spec.ndim)
     outside = np.any(np.abs(freqs) > np.array(spec.window_half), axis=1)
     if outside.any():
-        spec.require_window(keys[int(np.argmax(outside))])
-    values = np.array(list(spectrum.values()), complex)
+        spec.require_window(tuple(freqs[int(np.argmax(outside))].tolist()))
     np.add.at(acc, tuple((freqs % np.array(spec.dims)).T), values)
     return GridFunction(spec, np.fft.ifftn(acc) * spec.size)
 

@@ -124,27 +124,27 @@ def forbidden_members(inst: Instance) -> SetReport:
         ms = np.arange(1, inst.M + 1)
         ms = ms[~np.isin(ms, inst.k)]
     elif inst.forbidden == "s":
-        ms = np.array(s_set(e).scalars(), np.int64)
+        ms = s_set(e).array[:, 0]
     elif inst.forbidden == "alternating":
-        ms = np.array(alt_sum_set(e).scalars(), np.int64)
+        ms = alt_sum_set(e).array[:, 0]
     else:  # listed values outside the window need not fit in int64
         ms = np.array([n for n in inst.custom_forbidden if abs(n) <= inst.M], np.int64)
-    return SetReport.of_scalars([ms[np.abs(ms) <= inst.M]], True)
+    return SetReport(ms[np.abs(ms) <= inst.M], True)
 
 
-def certified_forbidden(inst: Instance) -> set[int]:
-    """The forbidden frequencies inside [-M, M]; K must fit the window and
-    the set must be exact and miss K, or the instance's hypothesis cannot
-    be certified."""
+def certified_forbidden(inst: Instance) -> np.ndarray:
+    """The sorted forbidden frequencies inside [-M, M]; K must fit the window
+    and the set must be exact and miss K, or the instance's hypothesis
+    cannot be certified."""
     if max(abs(x) for x in inst.k) > inst.M:
         raise ValueError("enumeration exceeds the window")
     rep = forbidden_members(inst)
     if not rep.exact:
         raise HypothesisNotCertified("cannot certify hypothesis: forbidden set inexact")
-    forbidden = {m[0] for m in rep.members}
-    overlap = forbidden & set(inst.k)
-    if overlap:
-        raise ValueError(f"forbidden set overlaps K at {sorted(overlap)}")
+    forbidden = rep.array[:, 0]
+    overlap = forbidden[np.isin(forbidden, inst.k)]
+    if overlap.size:
+        raise ValueError(f"forbidden set overlaps K at {overlap.tolist()}")
     return forbidden
 
 
@@ -153,7 +153,7 @@ def instance_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def make_instance(
-    inst: Instance, rng: np.random.Generator | None = None, forbidden: set[int] | None = None
+    inst: Instance, rng: np.random.Generator | None = None, forbidden: np.ndarray | None = None
 ) -> GridFunction:
     """Draw the seeded random spectrum for an instance and synthesize it.
 
@@ -168,7 +168,7 @@ def make_instance(
         rng = instance_rng(inst.seed, 0)
     spec = inst.grid()
     ns = np.arange(-inst.M, inst.M + 1)
-    ns = ns[~np.isin(ns, np.fromiter(forbidden, np.int64, len(forbidden)))]
+    ns = ns[~np.isin(ns, forbidden)]
     # one draw of 2n normals gives the same stream as n pairs of scalar draws
     coeffs = rng.standard_normal(2 * ns.size).view(complex)
     spectrum = dict(zip(ns.tolist(), coeffs.tolist()))
@@ -223,14 +223,15 @@ class CampaignReport:
         return out
 
 
-def schur_dsets(e: Enumeration) -> list[list]:
-    """The D_j member lists of a Schur-hypothesis replay, one per entry,
-    complete inside [-depth, -1] with the default replay depth."""
+def schur_dsets(e: Enumeration) -> list[np.ndarray]:
+    """The D_j member arrays of a Schur-hypothesis replay, one (n_j, 1)
+    array per entry, complete inside [-depth, -1] with the default replay
+    depth."""
     w = Window(-default_depth(e.scalars()), -1)
-    return [list(d_set(j, e, w).members) for j in range(1, e.J + 1)]
+    return [d_set(j, e, w).array for j in range(1, e.J + 1)]
 
 
-def replay_dsets(inst: Instance, mode: str) -> list[list] | None:
+def replay_dsets(inst: Instance, mode: str) -> list[np.ndarray] | None:
     """The index sets a replay of `inst` in `mode` runs on: the Schur D_j
     lists for a new-mode replay of a Schur template, else None (the
     replay's own half-line sets)."""

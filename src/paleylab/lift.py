@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cones import ConeOrder, Vec, vec_scale, vec_sub
-from .sets import Enumeration, SetReport, riesz_support, s_set
+from .sets import Enumeration, SetReport, isin_rows, riesz_support, s_set
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,9 @@ def _cube_ok(v: Vec) -> bool:
 
 def lifted_s_set(le: LiftedEnumeration, gamma_half: int | None = None) -> SetReport:
     """S of the lifted enumeration: members (Σ ε_j γ_j, ε)."""
-    members = s_set(Enumeration(le.pairs())).members
+    members = s_set(Enumeration(le.pairs())).array
     if gamma_half is not None:
-        members = [m for m in members if abs(m[0]) <= gamma_half]
+        members = members[np.abs(members[:, 0]) <= gamma_half]
     return SetReport(members, True)
 
 
@@ -116,7 +118,7 @@ def lifted_schur_set(le: LiftedEnumeration, gamma_half: int | None = None) -> Se
                 members.add(val)
     if gamma_half is not None:
         members = {m for m in members if abs(m[0]) <= gamma_half}
-    return SetReport(sorted(members), True)
+    return SetReport(members, True)
 
 
 def lifted_d_set(j: int, le: LiftedEnumeration, gamma_half: int | None = None) -> SetReport:
@@ -156,11 +158,12 @@ def lifted_d_set(j: int, le: LiftedEnumeration, gamma_half: int | None = None) -
                     emit(path, j + 1)
     if gamma_half is not None:
         members = {m for m in members if abs(m[0]) <= gamma_half}
-    return SetReport(sorted(members), True)
+    return SetReport(members, True)
 
 
-def lifted_d_sets(le: LiftedEnumeration, gamma_half: int | None = None) -> list[list[Vec]]:
-    return [list(lifted_d_set(j, le, gamma_half).members) for j in range(1, le.J + 1)]
+def lifted_d_sets(le: LiftedEnumeration, gamma_half: int | None = None) -> list[np.ndarray]:
+    """The D_j member arrays, each (n_j, 1 + J), for j = 1..J."""
+    return [lifted_d_set(j, le, gamma_half).array.reshape(-1, 1 + le.J) for j in range(1, le.J + 1)]
 
 
 def check_simple_s(e: Enumeration, gamma_half: int | None = None):
@@ -171,15 +174,16 @@ def check_simple_s(e: Enumeration, gamma_half: int | None = None):
     sides or violating the projection property.
     """
     le = lift_enumeration(e)
-    s_lift = lifted_s_set(le, gamma_half).as_set()
-    schur = lifted_schur_set(le, gamma_half).as_set()
-    riesz = lifted_riesz_support(le).as_set()
+    s_lift, schur, riesz = (
+        rep.array.reshape(-1, 1 + le.J)
+        for rep in (lifted_s_set(le, gamma_half), lifted_schur_set(le, gamma_half),
+                    lifted_riesz_support(le))
+    )
     if gamma_half is not None:
-        riesz = {m for m in riesz if abs(m[0]) <= gamma_half}
-    rhs = schur & riesz
-    witnesses = sorted(s_lift ^ rhs)
-    base_s = {v[0] for v in s_set(e).members}
-    for m in sorted(s_lift):
-        if m[0] not in base_s:
-            witnesses.append(m)
+        riesz = riesz[np.abs(riesz[:, 0]) <= gamma_half]
+    rhs = schur[isin_rows(schur, riesz)]
+    apart = np.concatenate([s_lift[~isin_rows(s_lift, rhs)], rhs[~isin_rows(rhs, s_lift)]])
+    witnesses = [tuple(m) for m in SetReport(apart, True).array.tolist()]
+    outside = s_lift[~np.isin(s_lift[:, 0], s_set(e).array[:, 0])]
+    witnesses.extend(map(tuple, outside.tolist()))
     return (not witnesses), witnesses

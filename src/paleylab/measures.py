@@ -33,7 +33,7 @@ from .lift import (
 )
 from .proofkit import ProofTrace, replay, replay_group, replay_sets
 from .riesz import riesz_expansion
-from .sets import Enumeration, Window, riesz_support, s_set, schur_set
+from .sets import Enumeration, SetReport, Window, isin_rows, riesz_support, s_set, schur_set
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,14 @@ def riesz_convolve(mu, K, spec: GridSpec) -> GridFunction:
     frequencies (gamma, n) are longer than mu's, mu-hat is read at gamma:
     that is the transform of the lifted measure.
     """
-    coeffs = riesz_expansion(K).spectrum()
-    freqs = np.array(list(coeffs), np.int64)
-    values = mu.hat(freqs[:, : mu.dim]) * np.array(list(coeffs.values()))
-    return synth(dict(zip(coeffs, values.tolist())), spec)
+    freqs, coeffs = riesz_expansion(K).spectrum()
+    return synth((freqs, mu.hat(freqs[:, : mu.dim]) * coeffs), spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureChainReport:
     hypothesis: str
-    hypothesis_members: tuple
+    hypothesis_members: np.ndarray  # (n, mu.dim) ints
     links: tuple  # triples (name, lhs, rhs); each asserts lhs <= rhs + slack
     ratio: float  # |mu-hat|K|_2 / |mu|
     trace: ProofTrace
@@ -141,9 +139,10 @@ class MeasureChainReport:
     def to_json(self) -> dict:
         return {
             "hypothesis": self.hypothesis,
-            "hypothesis_members": [
-                m[0] if len(m) == 1 else list(m) for m in self.hypothesis_members
-            ],
+            "hypothesis_members": (
+                self.hypothesis_members[:, 0] if self.hypothesis_members.shape[1] == 1
+                else self.hypothesis_members
+            ).tolist(),
             "links": [[n, a, b] for n, a, b in self.links],
             "ratio": self.ratio,
             "ceiling": self.ceiling,
@@ -151,16 +150,16 @@ class MeasureChainReport:
         }
 
 
-def _hypothesis_members(e: Enumeration, M: int, hypothesis: str):
+def _hypothesis_members(e: Enumeration, M: int, hypothesis: str) -> np.ndarray:
+    """The hypothesis frequencies in [-M, M], sorted, as an (n, 1) array."""
     w = Window(-M, M)
     if hypothesis == "schur":
-        return schur_set(e, w).members
+        return schur_set(e, w).array
     if hypothesis == "schur-riesz":
-        schur = schur_set(e, w).as_set()
-        riesz = riesz_support(e.entries).as_set()
-        return tuple(sorted(schur & riesz))
+        schur = schur_set(e, w).array
+        return schur[isin_rows(schur, riesz_support(e.entries).array)]
     if hypothesis == "negative":
-        return tuple((n,) for n in range(-M, 0))
+        return np.arange(-M, 0).reshape(-1, 1)
     raise ValueError(f"unknown hypothesis selector {hypothesis!r}")
 
 
@@ -168,8 +167,9 @@ def _forbidden_frequencies(e: Enumeration, hypothesis: str, M: int) -> list[int]
     """Sorted frequencies in [-M, M] where a random measure's mu-hat must vanish;
     hypothesis "s" is the lift's S((gamma_j))."""
     if hypothesis == "s":
-        return sorted({m[0] for m in s_set(e).members if abs(m[0]) <= M})
-    return sorted({m[0] for m in _hypothesis_members(e, M, hypothesis)})
+        ms = s_set(e).array[:, 0]
+        return ms[np.abs(ms) <= M].tolist()
+    return _hypothesis_members(e, M, hypothesis)[:, 0].tolist()
 
 
 def _measure_chain(mu, K, spec, hypothesis, members, replay_fk, c="4") -> MeasureChainReport:
@@ -181,10 +181,11 @@ def _measure_chain(mu, K, spec, hypothesis, members, replay_fk, c="4") -> Measur
     `c` is how the link labels name the constant 4.
     """
     tv = mu.total_variation
+    members = np.asarray(members, np.int64).reshape(-1, mu.dim)
     v = np.abs(mu.hat(members))
     bad = np.flatnonzero(v > 1e-10 * max(tv, 1e-300))
     if bad.size:
-        m = members[bad[0]]
+        m = tuple(members[bad[0]].tolist())
         raise ValueError(
             f"hypothesis violation: mu-hat({m[0] if len(m) == 1 else m}) = {v[bad[0]]:.3e}"
         )
@@ -201,7 +202,7 @@ def _measure_chain(mu, K, spec, hypothesis, members, replay_fk, c="4") -> Measur
     )
     return MeasureChainReport(
         hypothesis=hypothesis,
-        hypothesis_members=tuple(members),
+        hypothesis_members=members,
         links=links,
         ratio=mu_on_k / tv,
         trace=trace,
@@ -215,7 +216,6 @@ def check_measure_bound(
     hypothesis: str = "schur-riesz",
     M: int | None = None,
     N: int | None = None,
-    tol: float = 1e-9,
 ) -> MeasureChainReport:
     """Verify the measure chain for an increasing strongly lacunary K on Z.
 
@@ -258,7 +258,7 @@ def lifted_grid(le: LiftedEnumeration, gamma_half: int) -> GridSpec:
     return GridSpec(dims, window)
 
 
-def check_measure_bound_via_lift(mu, e: Enumeration, tol: float = 1e-9) -> MeasureChainReport:
+def check_measure_bound_via_lift(mu, e: Enumeration) -> MeasureChainReport:
     """The full lift pipeline for an arbitrary (unordered, non-lacunary) K.
 
     Requires mu-hat to vanish on S((gamma_j)); lifts, replays on the product
@@ -269,22 +269,19 @@ def check_measure_bound_via_lift(mu, e: Enumeration, tol: float = 1e-9) -> Measu
     pairs = le.pairs()
     J = le.J
 
-    base_s = sorted({m[0] for m in lifted_s_set(le).members})
-    riesz = lifted_riesz_support(le)
+    base_s = SetReport(lifted_s_set(le).array[:, 0], True).array
     dsets = lifted_d_sets(le)
-    schur = lifted_schur_set(le)
-    gamma_need = max(
-        [abs(m[0]) for m in riesz.members]
-        + [abs(m[0]) for ds in dsets for m in ds]
-        + [abs(m[0] + p[0]) for ds, p in zip(dsets, pairs) for m in ds]
-        + [abs(m[0] + p[0]) for ds, p in zip(dsets[:-1], pairs[1:]) for m in ds]
-        + [abs(m[0]) for m in schur.members]
-        + [abs(g) for g in le.gammas()]
-    )
+    schur = lifted_schur_set(le).array.reshape(-1, 1 + J)
+    gammas = np.array(le.gammas(), np.int64)
+    # every gamma coordinate the replay reads: supports, D_j and D_j + k_j, k_{j+1}
+    reach = [lifted_riesz_support(le).array[:, 0], schur[:, 0], gammas]
+    for j, ds in enumerate(dsets):
+        reach += [ds[:, 0] + g for g in (0, *gammas[j : j + 2])]
+    gamma_need = int(np.abs(np.concatenate(reach)).max())
     spec = lifted_grid(le, gamma_need)
-    forbidden = [m for m in schur.members if spec.in_window(m)]
+    forbidden = schur[np.all(np.abs(schur) <= spec.window_half, axis=1)]
     return _measure_chain(
-        mu, pairs, spec, "s", [(g,) for g in base_s],
+        mu, pairs, spec, "s", base_s,
         lambda f_k: replay_sets(
             f_k,
             pairs,
@@ -360,7 +357,6 @@ def measure_bound_via_total_order(
     e: Enumeration,
     cone: ConeOrder,
     spec: GridSpec,
-    tol: float = 1e-9,
 ) -> MeasureChainReport:
     """Reduction of a partial-order chain to the lex-last total order.
 

@@ -67,10 +67,9 @@ def optimize_ratio(
     spec = inst.grid()
     N = spec.dims[0]
     M = inst.M
+    ns = np.arange(-M, M + 1)
     allowed = np.zeros(N, bool)
-    for n in range(-M, M + 1):
-        if n not in forbidden:
-            allowed[n % N] = True
+    allowed[ns[~np.isin(ns, forbidden)] % N] = True
     kmask = np.zeros(N, bool)
     for k in inst.k:
         kmask[k % N] = True

@@ -17,7 +17,8 @@ Projections are solved in coefficient space: on the grid <c e_b, c e_a> =
 (|c|^2)^(a - b) and <v, c e_a> = (v conj c)^(a), so projecting onto
 span{c e_n : n in D} is a |D| x |D| Hermitian solve whose (multilevel)
 Toeplitz Gram matrix is gathered from one FFT of |c|^2 (|f| for c = sqrt|f|,
-1 for bare characters).  Its eigenvalues above (1e-10 s_max)^2 give the
+1 for bare characters).  Its eigenvalues above the larger of (1e-10 s_max)^2
+and the m eps lambda_max rounding floor of an m x m eigh give the
 pseudo-inverse.  Distances are Gram norms of coefficient differences, never
 differences of squared norms.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .cones import ConeOrder, Vec, as_vec, is_strongly_lacunary, vec_add, vec_scale, vec_sub
 from .grid import GridFunction, norm_l1, norm_l2
-from .sets import Enumeration
+from .sets import Enumeration, SetReport, isin_rows
 
 RANK_THRESHOLD = 1e-10
 HYPOTHESIS_TOLERANCE = 1e-12
@@ -101,16 +102,19 @@ class _Span:
     """span{c e_n : n in ns} for a carrier c, worked in coefficient space.
 
     Its Gram matrix is gathered from F, the coefficients of |c|^2, and its
-    eigenpairs above the rank cut (1e-10 s_max)^2 give the pseudo-inverse
-    that solves every projection: for any v, P v = sum_p x_p c e_{n_p} with
-    G x = r and r_p = <v, c e_{n_p}>.
+    eigenpairs above the rank cut give the pseudo-inverse that solves every
+    projection: for any v, P v = sum_p x_p c e_{n_p} with G x = r and
+    r_p = <v, c e_{n_p}>.  The cut is the larger of (1e-10 s_max)^2 and
+    eigh's rounding floor m eps lambda_max for an m x m Gram matrix, below
+    which an eigenvalue is noise.
     """
 
     def __init__(self, F: np.ndarray, ns: np.ndarray):
         self.F, self.ns = F, ns
         self.gram = _gram(F, ns, ns)
         lam, vec = np.linalg.eigh(self.gram)
-        keep = lam > RANK_THRESHOLD**2 * max(lam[-1] if lam.size else 0.0, 0.0)
+        floor = max(RANK_THRESHOLD**2, len(ns) * np.finfo(float).eps)
+        keep = lam > floor * max(lam[-1] if lam.size else 0.0, 0.0)
         self.lam, self.vec = lam[keep], vec[:, keep]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -268,19 +272,26 @@ def _check_support_and_hypothesis(f: GridFunction, forbidden, f_l2, label):
         raise SupportViolation(f"spectrum extends outside the window at {rep}")
     if not len(forbidden):
         return
-    vals = np.abs(_at(hat, np.array(forbidden, np.int64).reshape(len(forbidden), spec.ndim)))
+    forbidden = _freqs(forbidden, spec.ndim)
+    vals = np.abs(_at(hat, forbidden))
     bad = vals > HYPOTHESIS_TOLERANCE * max(f_l2, 1e-300)
     if bad.any():
         i = int(np.argmax(bad))
-        n = forbidden[i]
+        n = forbidden[i].tolist()
         raise HypothesisViolation(
             f"{label}: coefficient at forbidden frequency "
-            f"{n[0] if len(as_vec(n)) == 1 else n} is {vals[i]:.3e}"
+            f"{n[0] if len(n) == 1 else tuple(n)} is {vals[i]:.3e}"
         )
 
 
-def _windowed_set_flags(ks, dsets, box_lo, box_hi):
-    """Set-level membership, antinesting and shifted-nesting for windowed sets.
+def _steps_in(ks: np.ndarray, dsets) -> bool:
+    """Set-level membership: k_j - k_{j+1} ∈ D_j for every j < J."""
+    return all(isin_rows(ks[j : j + 1] - ks[j + 1], dsets[j])[0] for j in range(len(ks) - 1))
+
+
+def _windowed_set_flags(ks: np.ndarray, dsets, box_lo, box_hi):
+    """Set-level membership, antinesting and shifted-nesting for windowed sets
+    (ks and the D_j as (n, d) arrays).
 
     The member lists are complete inside the box [box_lo, box_hi], so the
     shifted-nest condition D_{j-1} + k_j ⊆ D_j + k_{j+1} is checked through
@@ -289,36 +300,27 @@ def _windowed_set_flags(ks, dsets, box_lo, box_hi):
     windowed data and skipped.
     """
     J = len(ks)
-    sets = [set(d) for d in dsets]
-    membership = all(vec_sub(ks[j], ks[j + 1]) in sets[j] for j in range(J - 1))
-    antinest = all(sets[j + 1] <= sets[j] for j in range(J - 1))
+    antinest = all(isin_rows(dsets[j + 1], dsets[j]).all() for j in range(J - 1))
     gnest = True
     for j in range(1, J - 1):
-        for m in sets[j - 1]:
-            pre = vec_sub(vec_add(m, ks[j]), ks[j + 1])
-            inside = all(a <= c <= b for a, c, b in zip(box_lo, pre, box_hi))
-            if inside and pre not in sets[j]:
-                gnest = False
-    return membership, antinest, gnest
+        pre = dsets[j - 1] + (ks[j] - ks[j + 1])
+        pre = pre[np.all((pre >= box_lo) & (pre <= box_hi), axis=1)]
+        gnest = gnest and bool(isin_rows(pre, dsets[j]).all())
+    return _steps_in(ks, dsets), antinest, gnest
 
 
-def _cone_set_flags(ks, dsets, order: ConeOrder):
+def _cone_set_flags(ks: np.ndarray, dsets, order: ConeOrder):
     """Set-level conditions decided by the order predicate itself."""
     J = len(ks)
-    membership = all(
-        vec_sub(ks[j], ks[j + 1]) in set(dsets[j]) for j in range(J - 1)
-    )
     antinest = all(
-        order.in_strict_cone(vec_sub(vec_scale(-1, ks[j]), v)) for j in range(J - 1) for v in dsets[j + 1]
+        order.in_strict_cone(tuple(v)) for j in range(J - 1) for v in (-ks[j] - dsets[j + 1]).tolist()
     )
     gnest = all(
-        order.in_strict_cone(
-            vec_sub(vec_scale(-1, ks[j]), vec_sub(vec_add(v, ks[j]), ks[j + 1]))
-        )
+        order.in_strict_cone(tuple(v))
         for j in range(1, J - 1)
-        for v in dsets[j - 1]
+        for v in (-ks[j] - (dsets[j - 1] + ks[j] - ks[j + 1])).tolist()
     )
-    return membership, antinest, gnest
+    return _steps_in(ks, dsets), antinest, gnest
 
 
 def _freqs(ns, d: int) -> np.ndarray:
@@ -343,7 +345,7 @@ def _two_step_trace(f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden,
     gc = np.fft.fftn(gfun.samples * np.conj(carrier)) / spec.size  # <g, c e_n>
     hs, eta = hexp if hexp is not None else (np.zeros((1, d), np.int64), np.ones(1, complex))
     ks = _freqs(e_ks, d)
-    Ls = [_Span(F, _freqs(ds, d)) for ds in dsets]
+    Ls = [_Span(F, ds) for ds in dsets]
     ph = [L.solve(_gram(F, L.ns, hs) @ eta) for L in Ls]  # P_j h
 
     a = np.zeros(J, complex)
@@ -498,23 +500,23 @@ def replay(
             depth = default_depth(ks) + h_degree
         if depth > N - M - 1:
             raise ValueError("depth exceeds the grid's alias-free range")
-        dvecs = [[(n,) for n in range(-depth, -k)] for k in ks]
+        dvecs = [np.arange(-depth, -k).reshape(-1, 1) for k in ks]
         floor = (-depth,)
-        forbidden = [(n,) for n in range(-M, 0)]
+        forbidden = np.arange(-M, 0)
     else:
-        dvecs = [[as_vec(m) for m in ds] for ds in dsets]
+        dvecs = [_freqs(ds, 1) for ds in dsets]
         if len(dvecs) != len(ks):
             raise ValueError("need one index set per enumeration entry")
-        members = [m for ds in dvecs for m in ds]
-        depth = -min((m[0] for m in members), default=-1)
+        members = np.concatenate(dvecs)
+        depth = -int(members.min()) if members.size else 1
         if depth > N - M - 1:
             raise ValueError("index sets exceed the grid's alias-free range")
         floor = (-depth,)
-        shifted = sorted({vec_add(m, (k,)) for k, ds in zip(ks, dvecs) for m in ds})
-        forbidden = [n for n in shifted if spec.in_window(n)]
+        shifted = SetReport(np.concatenate([ds + k for k, ds in zip(ks, dvecs)]), True).array
+        forbidden = shifted[np.abs(shifted) <= M]
 
     kvecs = [(k,) for k in ks]
-    flags = _windowed_set_flags(kvecs, dvecs, floor, (-1,))
+    flags = _windowed_set_flags(_freqs(kvecs, 1), dvecs, floor, (-1,))
     return _two_step_trace(
         f, kvecs, dvecs, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp
     )
@@ -536,13 +538,14 @@ def replay_sets(
     factorization supplies the carrier.
     """
     kvecs = [as_vec(k) for k in ks]
-    dvecs = [[as_vec(m) for m in ds] for ds in dsets]
+    d = len(kvecs[0])
+    dvecs = [_freqs(ds, d) for ds in dsets]
     if len(dvecs) != len(kvecs):
         raise ValueError("need one index set per enumeration entry")
-    lo, hi = as_vec(window_lo), as_vec(window_hi)
     fac = factorize(f)
-    flags = _windowed_set_flags(kvecs, dvecs, lo, hi)
-    depth = -min((min(m) for ds in dvecs for m in ds), default=-1)
+    flags = _windowed_set_flags(_freqs(kvecs, d), dvecs, window_lo, window_hi)
+    members = np.concatenate(dvecs)
+    depth = -int(members.min()) if members.size else 1
     return _two_step_trace(
         f, kvecs, dvecs, fac.h.samples, fac.g, fac.h, "new", depth, forbidden, flags
     )
@@ -557,8 +560,8 @@ def _replay_complementary(f: GridFunction, ks: list[int], factorization):
     J = len(ks)
     M = spec.window_half[0]
     f_l2 = norm_l2(f)
-    kset = set(ks)
-    forbidden = [(n,) for n in range(1, M + 1) if n not in kset]
+    forbidden = np.arange(1, M + 1)
+    forbidden = forbidden[~np.isin(forbidden, ks)]
     _check_support_and_hypothesis(f, forbidden, f_l2, "mode complementary")
 
     fac = factorization if factorization is not None else factorize(f)
@@ -651,10 +654,10 @@ def replay_group(
             and spec.in_window(vec_add(v, k))
             and (j + 1 >= e.J or spec.in_window(vec_add(v, ks[j + 1])))
         ]
-        dsets.append(members)
+        dsets.append(_freqs(members, e.dim))
     forbidden = [v for v in box if order.in_strict_cone(vec_scale(-1, v))]
     fac = factorize(f)
-    flags = _cone_set_flags(ks, dsets, order)
+    flags = _cone_set_flags(_freqs(ks, e.dim), dsets, order)
     return _two_step_trace(
         f, ks, dsets, fac.h.samples, fac.g, fac.h, "new", max(spec.window_half), forbidden, flags
     )

@@ -4,39 +4,50 @@ R_K = Π_{γ ∈ K'} (1 + (γ + conj γ)/2) over K' = K \\ {0}.  Every coefficie
 of the expansion is a dyadic rational with the common denominator 2^|K'|, so
 the expansion is computed as an integer convolution in exponent space: each
 factor (2 + γ' + conj γ')/2 maps numerators num[n] to
-2·num[n] + num[n − γ'] + num[n + γ'].  Numerators are Python ints keyed by
-frequency vector, exact for any |K'| and any dimension; Fraction values are
-made only where the expansion is read.  The coefficient facts c(0) = 1 and
-c(γ) >= 1/2 on K' for strongly lacunary K are exact statements about these
-rationals, not floating point.
+2·num[n] + num[n − γ'] + num[n + γ'].  The numerators sum to 4^|K'|, so with
+|K'| capped at RIESZ_CAP they are exact in int64; frequencies are int64 keys
+in the mixed-radix space of `signed_sum_keys`, and each factor is one sort
+and one segmented sum over them.  Fraction values are made only where the
+expansion is read.  The coefficient facts c(0) = 1 and c(γ) >= 1/2 on K' for
+strongly lacunary K are exact statements about these rationals, not floating
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 import numpy as np
 
-from .cones import Vec, as_vec, vec_scale
+from .cones import Vec, as_vec
 from .grid import GridFunction, GridSpec, grid_character
+from .sets import signed_sum_keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RieszExpansion:
-    """Exact expansion: coefficient c(n) = numerators[n] / 2^exp2.
+    """Exact expansion: coefficient c(freqs[i]) = nums[i] / 2^exp2.
 
-    Numerators are positive ints over the common denominator 2^exp2 with
-    exp2 = |K'|; frequencies absent from ``numerators`` have coefficient 0.
-    Reads (``[n]``, ``coeffs``, ``to_json``) give reduced Fractions.
+    `freqs` is the support as an (n, d) int64 array in lexicographic order,
+    `nums` the positive int64 numerators over the common denominator 2^exp2
+    with exp2 = |K'|; frequencies not in `freqs` have coefficient 0.  The
+    reads (``numerators``, ``[n]``, ``coeffs``, ``to_json``) are built from
+    the arrays on each call and give Python ints or reduced Fractions.
     """
 
-    numerators: dict
+    freqs: np.ndarray
+    nums: np.ndarray
     exp2: int
 
+    @property
+    def numerators(self) -> dict[Vec, int]:
+        return dict(zip(zip(*self.freqs.T.tolist()), self.nums.tolist()))
+
     def __getitem__(self, n) -> Fraction:
-        return Fraction(self.numerators.get(as_vec(n), 0), 1 << self.exp2)
+        v = as_vec(n)
+        hit = np.flatnonzero(np.all(self.freqs == v, axis=1)) if len(v) == self.freqs.shape[1] else ()
+        return Fraction(int(self.nums[hit[0]]) if len(hit) else 0, 1 << self.exp2)
 
     @property
     def coeffs(self) -> dict[Vec, Fraction]:
@@ -45,37 +56,39 @@ class RieszExpansion:
         return {n: Fraction(c, den) for n, c in self.numerators.items()}
 
     def support(self) -> list[Vec]:
-        return sorted(self.numerators)
+        return list(zip(*self.freqs.T.tolist()))
 
-    def spectrum(self) -> dict[Vec, complex]:
-        # int / int true division is correctly rounded, as float(Fraction) is
-        den = 1 << self.exp2
-        return {n: complex(c / den, 0.0) for n, c in self.numerators.items()}
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(frequencies, complex coefficients), the form `synth` takes.
+        Dividing by a power of two is exact, as float(Fraction) is."""
+        return self.freqs, (self.nums / (1 << self.exp2)).astype(complex)
 
     def to_json(self) -> list:
         """Triples (frequency, numerator, exponent of 2 in the denominator)."""
         out = []
-        for n, c in sorted(self.coeffs.items()):
+        for n, c in self.coeffs.items():
             key = n[0] if len(n) == 1 else list(n)
             out.append([key, c.numerator, c.denominator.bit_length() - 1])
         return out
 
 
 def riesz_expansion(K) -> RieszExpansion:
-    """Expand Π (1 + (γ' + conj γ')/2) exactly in exponent space."""
-    pts = sorted({as_vec(g) for g in K})
-    d = len(pts[0]) if pts else 1
-    zero = tuple(0 for _ in range(d))
-    kprime = [g for g in pts if g != zero]
-    num: dict[Vec, int] = {zero: 1}
-    for g in kprime:
-        neg = vec_scale(-1, g)
-        nxt = {n: 2 * c for n, c in num.items()}
-        for n, c in num.items():
-            for m in (tuple(map(add, n, g)), tuple(map(add, n, neg))):
-                nxt[m] = nxt.get(m, 0) + c
-        num = nxt
-    return RieszExpansion(num, len(kprime))
+    """Expand Π (1 + (γ' + conj γ')/2) exactly in exponent space.
+
+    Raises CapExceeded when |K'| > RIESZ_CAP or the support's box does not
+    fit int64 keys, before the expansion starts.
+    """
+    origin, steps, decode = signed_sum_keys(K)
+    keys = np.array([origin], np.int64)
+    nums = np.ones(1, np.int64)
+    for step in steps:
+        keys = np.concatenate([keys - step, keys, keys + step])
+        nums = np.concatenate([nums, 2 * nums, nums])
+        order = np.argsort(keys, kind="stable")
+        keys, nums = keys[order], nums[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, nums = keys[starts], np.add.reduceat(nums, starts)
+    return RieszExpansion(decode(keys), nums, len(steps))
 
 
 def riesz_polynomial(K, spec: GridSpec) -> tuple[GridFunction, RieszExpansion]:

@@ -10,7 +10,7 @@ m = k_i - Σ n_j' Δk_j'; their agreement is a tested identity, not shared code.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,44 +101,60 @@ class Window:
         return [list(self.lo), list(self.hi)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetReport:
     """Members found inside a window plus a completeness flag.
 
-    `members` is a sorted tuple of distinct frequency tuples of Python ints;
-    a scalar member n is the 1-tuple (n,).  The constructor canonicalises any
-    iterable of frequencies; `of_scalars` builds the same form from int64
-    arrays of scalar members without passing through Python sets.
+    `array` holds the members as the rows of a read-only (n, d) int64 array,
+    sorted lexicographically and distinct; a scalar member n is the row [n].
+    The constructor takes any iterable of frequencies (ints or tuples) or an
+    int64 array of them, repeats allowed.  `members` builds the sorted tuple
+    of frequency tuples on each read and is not kept.
     """
 
-    members: tuple
+    array: np.ndarray
     exact: bool
 
     def __init__(self, members, exact):
-        vs = sorted({as_vec(m) for m in members})
-        object.__setattr__(self, "members", tuple(vs))
+        if not isinstance(members, np.ndarray):
+            members = [as_vec(m) for m in members]
+        try:
+            a = np.array(members, np.int64)  # a copy: the report owns its array
+        except OverflowError:
+            raise ValueError("a member does not fit in int64") from None
+        if a.ndim == 1:
+            a = a[:, None]
+        if a.shape[1] == 1:
+            a.sort(axis=0)
+        else:
+            a = a[np.lexsort(a.T[::-1])]
+        distinct = np.any(a[1:] != a[:-1], axis=1)
+        if not distinct.all():
+            a = a[np.concatenate(([True], distinct))]
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
         object.__setattr__(self, "exact", bool(exact))
 
-    @classmethod
-    def of_scalars(cls, parts, exact) -> SetReport:
-        """Report of the integers in the int64 arrays `parts`, repeats allowed."""
-        a = np.sort(np.concatenate([np.zeros(0, np.int64), *parts]))
-        if a.size:
-            a = a[np.concatenate(([True], a[1:] != a[:-1]))]
-        rep = object.__new__(cls)
-        object.__setattr__(rep, "members", tuple(zip(a.tolist())))
-        object.__setattr__(rep, "exact", bool(exact))
-        return rep
-
-    def as_set(self) -> set:
-        return set(self.members)
-
-    def scalars(self) -> list[int]:
-        return [v[0] for v in self.members]
+    @property
+    def members(self) -> tuple:
+        return tuple(zip(*self.array.T.tolist()))
 
     def to_json(self) -> dict:
-        ms = [v[0] if len(v) == 1 else list(v) for v in self.members]
-        return {"members": ms, "exact": self.exact}
+        a = self.array
+        return {"members": a[:, 0].tolist() if a.shape[1] == 1 else a.tolist(), "exact": self.exact}
+
+
+def isin_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row of the (n, d) array a, whether it is a row of b."""
+    a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+    if a.shape[1] == 1:  # a binary search: np.isin costs 5x more on small sets
+        s = np.sort(b[:, 0])
+        if not s.size:
+            return np.zeros(len(a), bool)
+        return s[np.minimum(np.searchsorted(s, a[:, 0]), s.size - 1)] == a[:, 0]
+    rows = np.dtype([(f"c{i}", np.int64) for i in range(a.shape[1])])
+    return np.isin(np.ascontiguousarray(a).view(rows)[:, 0],
+                   np.ascontiguousarray(b).reshape(-1, a.shape[1]).view(rows)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +208,19 @@ def _gap_blocks(blocks, gaps, w: Window) -> SetReport:
     lo, hi = w.lo[0], w.hi[0]
     cap = max((top for top, _, _ in blocks), default=lo - 1) - lo
     if cap < 0:
-        return SetReport.of_scalars([], True)
+        return SetReport([], True)
     # tables[i] marks the sums Σ_{j' >= i} n_j' gaps[j'] on [0, cap]
     tables = [np.zeros(cap + 1, bool)]
     tables[0][0] = True
     for g in reversed(gaps):
         tables.append(_closure(tables[-1], g))
     tables.reverse()
-    parts = []
+    parts = [np.zeros(0, np.int64)]
     for top, i, nonzero in blocks:
         if top >= lo:  # sums t in [start, top - lo] land in the window
             start = max(top - hi, int(nonzero))
             parts.append(top - start - np.flatnonzero(tables[i][start : top - lo + 1]))
-    return SetReport.of_scalars(parts, True)
+    return SetReport(np.concatenate(parts), True)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +333,7 @@ def schur_set(e: Enumeration, w: Window, coeff_bound: int | None = None) -> SetR
         needed = required_coeff_bound(e, w)
         if coeff_bound is None or coeff_bound >= needed:
             members = _schur_increasing_dp(e.scalars(), w.lo[0], w.hi[0])
-            return SetReport.of_scalars([members], True)
+            return SetReport(members, True)
     bound = coeff_bound if coeff_bound is not None else 4
     return SetReport(_sign_walk(e.entries, bound, w, DFS_NODE_CAP), False)
 
@@ -349,18 +365,45 @@ def s_set(e: Enumeration, cap: int = S_SET_CAP) -> SetReport:
     return SetReport(_sign_walk(e.entries), True)
 
 
-def riesz_support(K, cap: int = RIESZ_CAP) -> SetReport:
-    """All signed {-1,0,1} combinations of K \\ {0}; always contains 0."""
+def signed_sum_keys(K, cap: int = RIESZ_CAP):
+    """K' = K \\ {0} as steps in a mixed-radix int64 key space.
+
+    The keys number the box [-S, S], S the coordinatewise sum of |γ| over K',
+    which holds every signed sum Σ ε_γ γ with ε_γ in {-1, 0, 1}.  The first
+    coordinate is the most significant digit, so key order is lexicographic
+    order, and the key of v + γ is key(v) + step(γ) inside the box.  Returns
+    (key of 0, the steps, decode), where decode maps keys to (n, d) int64
+    frequencies.  Raises CapExceeded, before anything is allocated, when
+    |K'| > cap or the box has more points than int64 can number.
+    """
     pts = sorted({as_vec(g) for g in K})
     d = len(pts[0]) if pts else 1
-    zero = tuple(0 for _ in range(d))
-    kprime = [g for g in pts if g != zero]
+    if any(len(g) != d for g in pts):
+        raise ValueError("mixed dimensions in K")
+    kprime = [g for g in pts if any(g)]
     if len(kprime) > cap:
         raise CapExceeded(f"|K'|={len(kprime)} exceeds the 3^n cap {cap}")
-    vals = {zero}
-    for g in kprime:
-        vals = {vec_add(v, vec_scale(s, g)) for v in vals for s in (-1, 0, 1)}
-    return SetReport(sorted(vals), True)
+    half = [sum(abs(g[c]) for g in kprime) for c in range(d)]
+    radix = [2 * h + 1 for h in half]
+    if math.prod(radix) > np.iinfo(np.int64).max:
+        raise CapExceeded("the signed sums of K do not fit 64-bit keys")
+    strides = [math.prod(radix[c + 1 :]) for c in range(d)]
+    steps = [sum(x * st for x, st in zip(g, strides)) for g in kprime]
+
+    def decode(keys: np.ndarray) -> np.ndarray:
+        return np.stack(np.unravel_index(keys, radix), axis=1).astype(np.int64) - half
+
+    return sum(h * st for h, st in zip(half, strides)), steps, decode
+
+
+def riesz_support(K, cap: int = RIESZ_CAP) -> SetReport:
+    """All signed {-1,0,1} combinations of K \\ {0}; always contains 0."""
+    origin, steps, decode = signed_sum_keys(K, cap)
+    keys = np.array([origin], np.int64)
+    for step in steps:  # sort and neighbour compare: np.unique would load numpy.ma
+        keys = np.sort(np.concatenate([keys - step, keys, keys + step]))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return SetReport(decode(keys), True)
 
 
 def alt_sum_set(e: Enumeration, cap: int = ALT_SUM_CAP) -> SetReport:
@@ -429,9 +472,9 @@ def preorder_less(j: int, m, n, e: Enumeration, w: Window) -> bool:
     difference below the window cannot be decided and raises."""
     diff = vec_sub(as_vec(m), as_vec(n))[0]
     if w.lo[0] <= diff <= w.hi[0]:
-        ms = d_set(j, e, w).members
-        i = bisect_left(ms, (diff,))
-        return i < len(ms) and ms[i] == (diff,)
+        ms = d_set(j, e, w).array[:, 0]
+        i = int(np.searchsorted(ms, diff))
+        return bool(i < ms.size and ms[i] == diff)
     if diff >= 0:
         return False
     raise UndecidableWindow("undecidable within window")
@@ -440,11 +483,10 @@ def preorder_less(j: int, m, n, e: Enumeration, w: Window) -> bool:
 def check_inclusion_s_in_schur_riesz(e: Enumeration, w: Window):
     """S((k_j)) ⊂ Schur((k_j)) ∩ Riesz(K) inside the window; returns
     (holds, witnesses)."""
-    s_members = {v for v in s_set(e).members if w.contains(v)}
-    if not s_members:
+    s = s_set(e).array
+    s = s[np.all((s >= w.lo) & (s <= w.hi), axis=1)]
+    if not len(s):
         return True, []
-    schur = schur_set(e, w)
-    riesz = riesz_support(e.entries)
-    good = schur.as_set() & riesz.as_set()
-    witnesses = sorted(v for v in s_members if v not in good)
+    good = isin_rows(s, schur_set(e, w).array) & isin_rows(s, riesz_support(e.entries).array)
+    witnesses = [tuple(v) for v in s[~good].tolist()]
     return not witnesses, witnesses

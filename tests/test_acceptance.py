@@ -35,7 +35,7 @@ SQRTE = math.sqrt(math.e)
 
 
 def scalars(report):
-    return report.scalars()
+    return report.array[:, 0].tolist()
 
 
 def random_lacunary_for(seed, max_j=8, k_max=10**6):

@@ -3,12 +3,13 @@ import subprocess
 import sys
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "paleylab", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
     return proc
 
@@ -33,6 +34,14 @@ def test_sets_dj_requires_j():
     proc = run_cli("sets", "--k", "1,3,7", "--set", "dj", "--window", "-9:-1")
     assert proc.returncode == 2
     assert "error" in proc.stderr
+
+
+def test_riesz_command_over_cap_exits_2():
+    # 15 strongly lacunary entries: 3^15 support points, refused before any work
+    ks = ",".join(str(3**j) for j in range(1, 16))
+    proc = run_cli("riesz", "--k", ks, timeout=60)
+    assert proc.returncode == 2
+    assert "cap" in proc.stderr
 
 
 def test_riesz_command_includes_unit_constant():

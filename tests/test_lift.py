@@ -42,14 +42,16 @@ def test_lifted_riesz_one_point_per_sign_vector():
 
 def test_lifted_d_sets_structure():
     le = lift_enumeration(Enumeration([1, 3, 7]))
-    dsets = lifted_d_sets(le)
+    arrays = lifted_d_sets(le)
+    assert all(ds.shape[1] == 1 + le.J for ds in arrays)
+    dsets = [set(map(tuple, ds.tolist())) for ds in arrays]
     # membership and antinesting
     pairs = le.pairs()
     for j in range(le.J - 1):
         diff = tuple(a - b for a, b in zip(pairs[j], pairs[j + 1]))
         assert diff in dsets[j]
-        assert set(dsets[j + 1]) <= set(dsets[j])
-    assert dsets[-1] == []
+        assert dsets[j + 1] <= dsets[j]
+    assert dsets[-1] == set()
 
 
 def test_lifted_schur_matches_sign_conditions():

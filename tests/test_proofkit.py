@@ -118,6 +118,17 @@ def test_rank_deficiency_detected():
     carrier[:16] = 1.0  # vanishes on half the grid
     S = span(range(-10, 11), GridFunction(spec, carrier), spec)
     assert S.dim < 21
+    # noise eigenvalues below eigh's rounding floor are cut, as the SVD cuts them
+    oracle = SampleSpan(spec, [(n,) for n in range(-10, 11)], carrier)
+    assert S.dim == oracle.basis.shape[1] == 16
+    # the Gram route squares the condition number: with the least kept
+    # eigenvalue at 2.2e-8 lambda_max the projections agree to about
+    # eps / 2.2e-8 = 1e-8, not to the oracle's own 1e-15
+    assert S.S.lam[0] / S.S.lam[-1] > 1e-8
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        assert np.max(np.abs(S.apply(v) - oracle.apply(v))) <= 1e-7
 
 
 def test_projection_properties():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from paleylab.grid import GridSpec, WindowViolation, norm_l1, synth
 from paleylab.riesz import riesz_expansion, riesz_polynomial
+from paleylab.sets import CapExceeded
 from conftest import random_lacunary
 
 
@@ -110,3 +111,40 @@ def test_integer_expansion_matches_fraction_oracle(K):
     oracle = _fraction_expansion(K)
     assert exp.coeffs == oracle
     assert all(exp[n] == c for n, c in oracle.items())
+
+
+def _dict_expansion(K):
+    """Independent oracle: the integer numerators by a dict convolution,
+    num[n] -> 2 num[n] + num[n - g] + num[n + g] per factor."""
+    pts = sorted({tuple(g) if isinstance(g, tuple) else (g,) for g in K})
+    zero = (0,) * len(pts[0])
+    num = {zero: 1}
+    for g in (p for p in pts if p != zero):
+        nxt = {n: 2 * c for n, c in num.items()}
+        for n, c in num.items():
+            for sign in (1, -1):
+                m = tuple(a + sign * b for a, b in zip(n, g))
+                nxt[m] = nxt.get(m, 0) + c
+        num = nxt
+    return num, len(pts) - (zero in pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-6, 6), st.integers(-2, 2)),
+                min_size=1, max_size=9))
+def test_vector_expansion_matches_dict_oracle(K):
+    exp = riesz_expansion(K)
+    num, exp2 = _dict_expansion(K)
+    assert exp.exp2 == exp2
+    assert exp.numerators == num
+    assert hash(frozenset(exp.numerators.items())) == hash(frozenset(num.items()))
+    assert exp.freqs.dtype == np.int64 and exp.nums.dtype == np.int64
+    assert exp.freqs.tolist() == [list(n) for n in sorted(num)]  # lexicographic order
+    assert int(exp.nums.sum()) == 4**exp2
+
+
+def test_expansion_cap_raises_before_work():
+    with pytest.raises(CapExceeded):
+        riesz_expansion([3**j for j in range(1, 16)])  # |K'| = 15 > RIESZ_CAP
+    with pytest.raises(CapExceeded):  # the key box has more than 2^63 points
+        riesz_expansion([(2**40, 1), (1, 2**40)])

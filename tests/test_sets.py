@@ -27,7 +27,7 @@ from conftest import brute_force_schur, random_lacunary
 
 
 def members(report):
-    return report.scalars()
+    return report.array[:, 0].tolist()
 
 
 # --- type plumbing ---------------------------------------------------------
@@ -48,9 +48,38 @@ def test_window_orientation():
 
 def test_set_report_sorted_canonical():
     rep = SetReport([5, -1, 3, -1], True)
-    assert rep.scalars() == [-1, 3, 5]
+    assert rep.array[:, 0].tolist() == [-1, 3, 5]
     rep2 = SetReport([(1, 2), (0, 5), (1, -1)], False)
     assert rep2.members == ((0, 5), (1, -1), (1, 2))
+
+
+def _canonical(ms):
+    """The sorted tuple of distinct frequency tuples, built without numpy."""
+    return tuple(sorted({m if isinstance(m, tuple) else (m,) for m in ms}))
+
+
+_coord = st.integers(-(2**62), 2**62)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(_coord, max_size=30),
+    st.lists(st.integers(-3, 3), max_size=30),  # many repeats
+    st.lists(st.tuples(_coord, _coord), max_size=30),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=30),
+), st.booleans(), st.booleans())
+def test_set_report_matches_canonical_form(ms, exact, as_array):
+    rep = SetReport(np.array(ms, np.int64) if as_array and ms else ms, exact)
+    want = _canonical(ms)
+    assert rep.members == want
+    assert all(type(c) is int for m in rep.members for c in m)
+    d = len(want[0]) if want else 1
+    assert rep.array.dtype == np.int64 and rep.array.shape == (len(want), d)
+    assert rep.array.tolist() == [list(m) for m in want]
+    assert rep.to_json() == {"members": [m[0] if len(m) == 1 else list(m) for m in want],
+                             "exact": exact}
+    assert not rep.array.flags.writeable
+    assert hash(rep.members) == hash(want)
 
 
 # --- sign-vector conditions ------------------------------------------------
@@ -132,7 +161,7 @@ def test_schur_vector_enumeration_bounded():
     w = Window((-8, -8), (8, 8))
     rep = schur_set(e, w, coeff_bound=2)
     assert not rep.exact
-    assert rep.as_set() == _admissible_values(e.entries, 2, w)
+    assert set(rep.members) == _admissible_values(e.entries, 2, w)
 
 
 def test_required_coeff_bound_documented_formula():
@@ -195,18 +224,18 @@ def test_sign_walk_against_product_oracle(kind, ks, arg):
     # s_set, the lifted S set and the bounded Schur search share one walk
     e = Enumeration(ks)
     if kind == "s":
-        assert s_set(e).as_set() == _admissible_values(e.entries, 1)
+        assert set(s_set(e).members) == _admissible_values(e.entries, 1)
     elif kind == "lifted":
         le = lift_enumeration(e)
         expected = _admissible_values(le.pairs(), 1)
         if arg is not None:
             expected = {m for m in expected if abs(m[0]) <= arg}
-        assert lifted_s_set(le, arg).as_set() == expected
+        assert set(lifted_s_set(le, arg).members) == expected
     else:
         w = Window(*arg)
         rep = schur_set(e, w, coeff_bound=2)
         assert not rep.exact
-        assert rep.as_set() == _admissible_values(e.entries, 2, w)
+        assert set(rep.members) == _admissible_values(e.entries, 2, w)
 
 
 def test_riesz_and_alt_caps():
@@ -409,7 +438,7 @@ def _assert_canonical(rep, expected):
     assert all(type(m) is tuple and len(m) == 1 and type(m[0]) is int for m in ms)
     assert all(a < b for a, b in zip(ms, ms[1:]))  # sorted and distinct
     assert rep.exact
-    assert set(rep.scalars()) == expected
+    assert set(rep.array[:, 0].tolist()) == expected
 
 
 @pytest.mark.parametrize("ks, window", _gap_cases())
@@ -486,12 +515,29 @@ def test_preorder_undecidable():
         preorder_less(1, -50, 0, e, Window(-9, -1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_preorder_less_matches_brute_membership(seed):
+    rng = np.random.default_rng(seed)
+    ks = np.cumsum(rng.integers(1, 12, size=int(rng.integers(2, 6)))).tolist()
+    e = Enumeration(ks)
+    w = Window(-int(rng.integers(1, 60)), -1)
+    for j in range(1, e.J + 1):
+        dj = d_set(j, e, w).members
+        for _ in range(20):
+            m, n = (int(x) for x in rng.integers(-70, 70, size=2))
+            if m - n < w.lo[0]:
+                continue
+            # a linear scan of the tuple listing, apart from the searchsorted route
+            assert preorder_less(j, m, n, e, w) is any(v == (m - n,) for v in dj)
+
+
 def test_preorder_less_matches_set_membership():
     e = Enumeration([2, 5, 11, 23])
     w = Window(-30, -1)
     pairs = [(m, 0) for m in range(-30, 3)] + [(2, 5), (5, 11), (11, 23), (7, 30), (-8, 9), (40, 9)]
     for j in range(1, e.J + 1):
-        dj = d_set(j, e, w).as_set()
+        dj = set(d_set(j, e, w).members)
         for m, n in pairs:
             assert preorder_less(j, m, n, e, w) is ((m - n,) in dj), (j, m, n)
         for m, n in [(-31, 0), (-8, 40)]:
