@@ -171,11 +171,12 @@ def make_instance(
     ns = ns[~np.isin(ns, forbidden)]
     # one draw of 2n normals gives the same stream as n pairs of scalar draws
     coeffs = rng.standard_normal(2 * ns.size).view(complex)
-    spectrum = dict(zip(ns.tolist(), coeffs.tolist()))
-    for k in inst.k:
-        while abs(spectrum[k]) < 1e-6:
-            spectrum[k] = complex(rng.standard_normal(), rng.standard_normal())
-    f = synth(spectrum, spec)
+    if not np.isin(inst.k, ns).all():
+        raise KeyError("a frequency of K is forbidden or outside the window")
+    for i in np.searchsorted(ns, inst.k).tolist():
+        while abs(coeffs[i]) < 1e-6:
+            coeffs[i] = complex(rng.standard_normal(), rng.standard_normal())
+    f = synth((ns[:, None], coeffs), spec)
     scale = norm_l1(f)
     if scale == 0:
         raise ValueError("degenerate zero instance")

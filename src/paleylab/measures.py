@@ -302,16 +302,16 @@ def random_density_measure(
 ) -> DensityMeasure:
     """Seeded density with mu-hat vanishing on the hypothesis set, nonzero on K."""
     spec = auto_spec(M) if N is None else GridSpec((N,), (M,))
-    forbidden = set(_forbidden_frequencies(e, hypothesis, M))
     rng = np.random.default_rng([seed, 211])
-    ns = [n for n in range(-M, M + 1) if n not in forbidden]
-    coeffs = rng.standard_normal(2 * len(ns)).view(complex).tolist()
-    spectrum = dict(zip(((n,) for n in ns), coeffs))
-    for k in e.scalars():
-        # the hypothesis wins where it overlaps K: those coefficients stay 0
-        if k not in forbidden and abs(k) <= M and abs(spectrum[(k,)]) < 1e-6:
-            spectrum[(k,)] = 1.0 + 0.5j
-    f = synth(spectrum, spec)
+    ns = np.arange(-M, M + 1)
+    ns = ns[~np.isin(ns, _forbidden_frequencies(e, hypothesis, M))]
+    coeffs = rng.standard_normal(2 * ns.size).view(complex)
+    # the hypothesis wins where it overlaps K: those coefficients stay 0
+    ks = np.array(e.scalars(), np.int64)
+    at = np.searchsorted(ns, ks[np.isin(ks, ns)])
+    weak = at[np.abs(coeffs[at]) < 1e-6]
+    coeffs[weak] = 1.0 + 0.5j
+    f = synth((ns[:, None], coeffs), spec)
     scale = norm_l1(f)
     return DensityMeasure(GridFunction(spec, f.samples / scale))
 

@@ -5,12 +5,12 @@ of the expansion is a dyadic rational with the common denominator 2^|K'|, so
 the expansion is computed as an integer convolution in exponent space: each
 factor (2 + γ' + conj γ')/2 maps numerators num[n] to
 2·num[n] + num[n − γ'] + num[n + γ'].  The numerators sum to 4^|K'|, so with
-|K'| capped at RIESZ_CAP they are exact in int64; frequencies are int64 keys
-in the mixed-radix space of `signed_sum_keys`, and each factor is one sort
-and one segmented sum over them.  Fraction values are made only where the
-expansion is read.  The coefficient facts c(0) = 1 and c(γ) >= 1/2 on K' for
-strongly lacunary K are exact statements about these rationals, not floating
-point.
+|K'| capped at RIESZ_CAP they are exact in int64.  `sets.signed_sums`, the
+walk that also gives the Riesz support, does each factor as one sort and one
+segmented sum over int64 frequency keys.  Fraction values are made only
+where the expansion is read.  The coefficient facts c(0) = 1 and
+c(γ) >= 1/2 on K' for strongly lacunary K are exact statements about these
+rationals, not floating point.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .cones import Vec, as_vec
 from .grid import GridFunction, GridSpec, grid_character
-from .sets import signed_sum_keys
+from .sets import signed_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,17 +78,7 @@ def riesz_expansion(K) -> RieszExpansion:
     Raises CapExceeded when |K'| > RIESZ_CAP or the support's box does not
     fit int64 keys, before the expansion starts.
     """
-    origin, steps, decode = signed_sum_keys(K)
-    keys = np.array([origin], np.int64)
-    nums = np.ones(1, np.int64)
-    for step in steps:
-        keys = np.concatenate([keys - step, keys, keys + step])
-        nums = np.concatenate([nums, 2 * nums, nums])
-        order = np.argsort(keys, kind="stable")
-        keys, nums = keys[order], nums[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        keys, nums = keys[starts], np.add.reduceat(nums, starts)
-    return RieszExpansion(decode(keys), nums, len(steps))
+    return RieszExpansion(*signed_sums(K))
 
 
 def riesz_polynomial(K, spec: GridSpec) -> tuple[GridFunction, RieszExpansion]:

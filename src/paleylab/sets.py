@@ -365,7 +365,7 @@ def s_set(e: Enumeration, cap: int = S_SET_CAP) -> SetReport:
     return SetReport(_sign_walk(e.entries), True)
 
 
-def signed_sum_keys(K, cap: int = RIESZ_CAP):
+def _signed_sum_keys(K, cap: int):
     """K' = K \\ {0} as steps in a mixed-radix int64 key space.
 
     The keys number the box [-S, S], S the coordinatewise sum of |γ| over K',
@@ -396,14 +396,33 @@ def signed_sum_keys(K, cap: int = RIESZ_CAP):
     return sum(h * st for h, st in zip(half, strides)), steps, decode
 
 
+def signed_sums(K, cap: int = RIESZ_CAP) -> tuple[np.ndarray, np.ndarray, int]:
+    """The signed sums Σ ε_γ γ, ε in {-1, 0, 1}^K', K' = K \\ {0}, with weights.
+
+    Returns (freqs, nums, |K'|): the distinct sums as an (n, d) int64 array in
+    lexicographic order, and for each the int64 sum over its representations
+    of 2^(number of ε_γ = 0), the numerator of the Riesz coefficient over
+    2^|K'|.  Every weight is positive.  Each γ is one step: three shifted
+    copies, a sort and a segmented sum over the keys of `_signed_sum_keys`
+    (a neighbour compare, since np.unique would load numpy.ma).  The weights
+    sum to 4^|K'|, so the cap keeps them exact.
+    """
+    origin, steps, decode = _signed_sum_keys(K, cap)
+    keys = np.array([origin], np.int64)
+    nums = np.ones(1, np.int64)
+    for step in steps:
+        keys = np.concatenate([keys - step, keys, keys + step])
+        nums = np.concatenate([nums, 2 * nums, nums])
+        order = np.argsort(keys, kind="stable")
+        keys, nums = keys[order], nums[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, nums = keys[starts], np.add.reduceat(nums, starts)
+    return decode(keys), nums, len(steps)
+
+
 def riesz_support(K, cap: int = RIESZ_CAP) -> SetReport:
     """All signed {-1,0,1} combinations of K \\ {0}; always contains 0."""
-    origin, steps, decode = signed_sum_keys(K, cap)
-    keys = np.array([origin], np.int64)
-    for step in steps:  # sort and neighbour compare: np.unique would load numpy.ma
-        keys = np.sort(np.concatenate([keys - step, keys, keys + step]))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return SetReport(decode(keys), True)
+    return SetReport(signed_sums(K, cap)[0], True)
 
 
 def alt_sum_set(e: Enumeration, cap: int = ALT_SUM_CAP) -> SetReport:
