@@ -171,9 +171,10 @@ def make_instance(
     ns = ns[~np.isin(ns, forbidden)]
     # one draw of 2n normals gives the same stream as n pairs of scalar draws
     coeffs = rng.standard_normal(2 * ns.size).view(complex)
-    if not np.isin(inst.k, ns).all():
+    at = np.searchsorted(ns, inst.k)
+    if not ns.size or (ns[np.minimum(at, ns.size - 1)] != inst.k).any():
         raise KeyError("a frequency of K is forbidden or outside the window")
-    for i in np.searchsorted(ns, inst.k).tolist():
+    for i in at.tolist():
         while abs(coeffs[i]) < 1e-6:
             coeffs[i] = complex(rng.standard_normal(), rng.standard_normal())
     f = synth((ns[:, None], coeffs), spec)

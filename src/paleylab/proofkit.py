@@ -38,7 +38,7 @@ import numpy as np
 
 from .cones import ConeOrder, Vec, as_vec, is_strongly_lacunary, vec_add, vec_scale, vec_sub
 from .grid import GridFunction, norm_l1, norm_l2
-from .sets import Enumeration, SetReport, isin_rows
+from .sets import Enumeration, isin_rows
 
 RANK_THRESHOLD = 1e-10
 HYPOTHESIS_TOLERANCE = 1e-12
@@ -299,14 +299,21 @@ def _windowed_set_flags(ks: np.ndarray, dsets, box_lo, box_hi):
     listed member of D_j; preimages outside the box are undecidable from the
     windowed data and skipped.
     """
-    J = len(ks)
-    antinest = all(isin_rows(dsets[j + 1], dsets[j]).all() for j in range(J - 1))
-    gnest = True
-    for j in range(1, J - 1):
-        pre = dsets[j - 1] + (ks[j] - ks[j + 1])
-        pre = pre[np.all((pre >= box_lo) & (pre <= box_hi), axis=1)]
-        gnest = gnest and bool(isin_rows(pre, dsets[j]).all())
-    return _steps_in(ks, dsets), antinest, gnest
+    lo, hi = np.asarray(box_lo), np.asarray(box_hi)
+    steps = ks[:-1] - ks[1:]
+    membership = antinest = gnest = True
+    for j in range(len(ks) - 1):
+        pre = steps[:0]
+        if j:
+            pre = dsets[j - 1] + steps[j]
+            pre = pre[((pre >= lo) & (pre <= hi)).all(axis=1)]
+        # one lookup in D_j per j: the step, D_{j+1}, then the preimages
+        hit = isin_rows(np.concatenate([steps[j : j + 1], dsets[j + 1], pre]), dsets[j])
+        n = 1 + len(dsets[j + 1])
+        membership = membership and bool(hit[0])
+        antinest = antinest and bool(hit[1:n].all())
+        gnest = gnest and bool(hit[n:].all())
+    return membership, antinest, gnest
 
 
 def _cone_set_flags(ks: np.ndarray, dsets, order: ConeOrder):
@@ -512,7 +519,8 @@ def replay(
         if depth > N - M - 1:
             raise ValueError("index sets exceed the grid's alias-free range")
         floor = (-depth,)
-        shifted = SetReport(np.concatenate([ds + k for k, ds in zip(ks, dvecs)]), True).array
+        # sorted so a violation names the least offender; repeats check twice
+        shifted = np.sort(np.concatenate([ds + k for k, ds in zip(ks, dvecs)]), axis=0)
         forbidden = shifted[np.abs(shifted) <= M]
 
     kvecs = [(k,) for k in ks]

@@ -128,7 +128,7 @@ class SetReport:
             a.sort(axis=0)
         else:
             a = a[np.lexsort(a.T[::-1])]
-        distinct = np.any(a[1:] != a[:-1], axis=1)
+        distinct = (a[1:] != a[:-1]).any(axis=1)
         if not distinct.all():
             a = a[np.concatenate(([True], distinct))]
         a.flags.writeable = False

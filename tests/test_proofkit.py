@@ -9,6 +9,7 @@ from paleylab.proofkit import (
     SupportViolation,
     _at,
     _Span,
+    _windowed_set_flags,
     factorize,
     replay,
     replay_group,
@@ -250,6 +251,42 @@ def test_replay_dsets_requires_vanishing_on_shifted_sets():
     spoiled = GridFunction(f.spec, f.samples + 0.5 * np.exp(1j * bad * f.spec.axis_points(0)))
     with pytest.raises(HypothesisViolation):
         replay(spoiled, e, mode="new", dsets=dsets)
+
+
+def _set_flags_oracle(ks, dsets, lo, hi):
+    """Membership, antinesting and shifted-nesting over Python sets of tuples."""
+    J = len(ks)
+    sets = [set(map(tuple, d.tolist())) for d in dsets]
+    ks = [tuple(k) for k in ks.tolist()]
+    membership = all(vec_add(ks[j], vec_scale(-1, ks[j + 1])) in sets[j] for j in range(J - 1))
+    antinest = all(sets[j + 1] <= sets[j] for j in range(J - 1))
+    gnest = True
+    for j in range(1, J - 1):
+        for m in sets[j - 1]:
+            pre = vec_add(vec_add(m, ks[j]), vec_scale(-1, ks[j + 1]))
+            if all(a <= c <= b for a, c, b in zip(lo, pre, hi)) and pre not in sets[j]:
+                gnest = False
+    return membership, antinest, gnest
+
+
+def test_windowed_set_flags_match_set_oracle():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(600):
+        d, J = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+        lo, hi = (-8,) * d, (-1,) * d
+        ks = rng.integers(0, 6, (J, d))
+        members = rng.integers(-8, 0, (int(rng.integers(0, 12)), d))
+        dsets = []
+        for _ in range(J):  # mostly nested, sometimes with a stray member
+            members = members[rng.random(len(members)) < 0.8]
+            if rng.random() < 0.3:
+                members = np.concatenate([members, rng.integers(-9, 0, (1, d))])
+            dsets.append(members)
+        want = _set_flags_oracle(ks, dsets, lo, hi)
+        seen.add(want)
+        assert tuple(_windowed_set_flags(ks, dsets, lo, hi)) == want
+    assert len(seen) == 8  # every combination of the three flags occurred
 
 
 # --- replay: classic mode -----------------------------------------------------
