@@ -152,9 +152,19 @@ def isin_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not s.size:
             return np.zeros(len(a), bool)
         return s[np.minimum(np.searchsorted(s, a[:, 0]), s.size - 1)] == a[:, 0]
-    rows = np.dtype([(f"c{i}", np.int64) for i in range(a.shape[1])])
-    return np.isin(np.ascontiguousarray(a).view(rows)[:, 0],
-                   np.ascontiguousarray(b).reshape(-1, a.shape[1]).view(rows)[:, 0])
+    # the rows of b and a in one lexicographic order, b's copy of a row
+    # first: a row of a is in b when the last row of b before it equals it.
+    # (np.isin on a structured view is 4x slower and loads numpy.ma.)
+    b = b.reshape(-1, a.shape[1])
+    both = np.concatenate([b, a])
+    from_a = np.arange(len(both)) >= len(b)
+    order = np.lexsort((from_a, *both.T[::-1]))
+    rows, from_a = both[order], from_a[order]
+    last_b = np.maximum.accumulate(np.where(from_a, -1, np.arange(len(rows))))
+    hit = (last_b >= 0) & (rows[last_b] == rows).all(axis=1)
+    out = np.empty(len(a), bool)
+    out[order[from_a] - len(b)] = hit[from_a]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from paleylab.sets import (
     check_inclusion_s_in_schur_riesz,
     d_set,
     g_set,
+    isin_rows,
     preorder_less,
     required_coeff_bound,
     riesz_support,
@@ -80,6 +81,18 @@ def test_set_report_matches_canonical_form(ms, exact, as_array):
                              "exact": exact}
     assert not rep.array.flags.writeable
     assert hash(rep.members) == hash(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=25),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=25),
+    st.just(d),
+)))
+def test_isin_rows_matches_set_membership(args):
+    a, b, d = args
+    got = isin_rows(np.array(a, np.int64).reshape(-1, d), np.array(b, np.int64).reshape(-1, d))
+    assert got.dtype == bool and got.tolist() == [m in set(b) for m in a]
 
 
 # --- sign-vector conditions ------------------------------------------------
