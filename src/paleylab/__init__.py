@@ -6,6 +6,7 @@ arithmetic, nested-projection proof replays, inequality campaigns, measure
 chains, and the product-group lift.
 """
 
+from . import _blas
 from .cones import (
     ConeOrder,
     ExtremeLacunarity,
@@ -59,6 +60,8 @@ from .measures import (
     random_density_measure,
     riesz_convolve,
 )
+
+_blas.pin_one_thread()
 
 __all__ = [
     "AtomicMeasure",

@@ -133,6 +133,8 @@ def cmd_replay(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.instances) as fh:
         config = json.load(fh)
+    if isinstance(config, dict) and "templates" not in config:
+        raise ValueError("campaign config has no 'templates' key")
     raw = config["templates"] if isinstance(config, dict) else config
     templates = [Instance.from_json(t) for t in raw]
     report = run_campaign(

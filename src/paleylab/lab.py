@@ -136,6 +136,8 @@ def certified_forbidden(inst: Instance) -> np.ndarray:
     """The sorted forbidden frequencies inside [-M, M]; K must fit the window
     and the set must be exact and miss K, or the instance's hypothesis
     cannot be certified."""
+    if not inst.k:
+        raise ValueError("enumeration K is empty")
     if max(abs(x) for x in inst.k) > inst.M:
         raise ValueError("enumeration exceeds the window")
     rep = forbidden_members(inst)
@@ -244,18 +246,14 @@ def replay_dsets(inst: Instance, mode: str) -> list[np.ndarray] | None:
 
 def _template_sets(inst: Instance):
     """What `run_one` needs of a template alone: its certified forbidden set
-    and its replay's index sets.  None when building them fails; `run_one`
-    then rebuilds them and reports the error per instance."""
-    try:
-        return certified_forbidden(inst), replay_dsets(inst, inst.replay_mode())
-    except Exception:
-        return None
+    and its replay's index sets.  Raises when the template cannot be built."""
+    return certified_forbidden(inst), replay_dsets(inst, inst.replay_mode())
 
 
 def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9, sets=None) -> dict:
     """Build one seeded instance, replay if a mode applies, check everything.
     `sets` is the template's `_template_sets`, built here when not given."""
-    forbidden, dsets = sets or (None, None)
+    forbidden, dsets = sets or _template_sets(inst)
     rng = instance_rng(master_seed, index)
     f = make_instance(inst, rng, forbidden)
     violations: list[str] = []
@@ -263,8 +261,6 @@ def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9, set
     mode = inst.replay_mode()
     trace_json = None
     if mode is not None:
-        if sets is None:
-            dsets = replay_dsets(inst, mode)
         trace = replay(f, inst.enumeration, mode=mode, dsets=dsets)
         violations.extend(trace.check(tol))
         worst = max(
@@ -361,8 +357,9 @@ def run_campaign(
     jobs = []
     for t, template in enumerate(templates):
         inst_json = template.to_json()
-        # built once per template and call: no set outlives the campaign
-        sets = _template_sets(Instance.from_json(inst_json)) if trials else None
+        # every template is checked here, before any dispatch; the sets are
+        # built once per template and call, so no set outlives the campaign
+        sets = _template_sets(Instance.from_json(inst_json))
         for i in range(trials):
             jobs.append((inst_json, t * trials + i, master_seed, sets))
     if workers > 1 and len(jobs) > 1:

@@ -89,7 +89,8 @@ def factorize(f: GridFunction) -> Factorization:
 
 def _at(arr: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """arr at the residues of the frequencies ns (integer array, last axis d)."""
-    return arr[tuple(np.moveaxis(ns % np.array(arr.shape), -1, 0))]
+    r = ns % arr.shape
+    return arr[tuple(r[..., i] for i in range(arr.ndim))]
 
 
 def _gram(F: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

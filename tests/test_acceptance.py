@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass line (run with -s or -rA to see them)."""
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -317,3 +318,15 @@ def test_criterion_9_determinism_across_workers():
     assert r1.to_json(include_timing=False) == r2.to_json(include_timing=False)
     assert r1.ok
     print("\n[acceptance] criterion 9 PASS (identical reports for 1 and 2 workers)")
+
+
+def test_criterion_3_campaign_identical_across_workers():
+    # residual sums round alike only with one BLAS thread count in the
+    # caller and in the spawned workers; on 2 cores, pinning only the
+    # workers changes worst_residual at these 100 replays
+    templates = [_criterion3_template(i) for i in range(24)]
+    templates.append(Instance(k=(4, 5, 9), forbidden="schur", M=16, seed=0))
+    r1 = run_campaign(templates, trials=4, master_seed=7, workers=1)
+    r2 = run_campaign(templates, trials=4, master_seed=7, workers=2)
+    assert r1.ok
+    assert json.dumps(r1.to_json(include_timing=False)) == json.dumps(r2.to_json(include_timing=False))

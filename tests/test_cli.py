@@ -154,21 +154,30 @@ def test_replay_from_spectrum_dump(tmp_path):
     assert abs(json.loads(proc2.stdout)["ratio"] - 1.0) < 1e-9
 
 
-def test_verify_broken_template_exits_1(tmp_path):
-    # a template whose custom forbidden set overlaps K cannot be generated;
-    # the campaign records the failure with a dump and exits 1
-    config = {
-        "templates": [
-            {"k": [2, 5], "forbidden": "custom", "M": 12, "custom_forbidden": [5]}
-        ]
-    }
+def test_verify_broken_template_exits_2(tmp_path):
+    # every template is validated before any instance runs: a template that
+    # cannot be built is invalid input, reported on one error line
+    broken = [
+        {"k": [2, 5], "forbidden": "custom", "M": 12, "custom_forbidden": [5]},
+        {"k": [2, 5, 11], "forbidden": "schur", "M": 4},  # K outside the window
+        {"k": [], "forbidden": "schur", "M": 8},
+        {"k": [5, 2], "forbidden": "schur", "M": 8},  # not increasing
+    ]
     path = tmp_path / "camp.json"
-    path.write_text(json.dumps(config))
-    proc = run_cli("verify", "--instances", str(path), "--trials", "2", "--no-timing")
-    assert proc.returncode == 1
-    report = json.loads(proc.stdout)
-    assert report["failures"] == 2
-    assert report["counterexamples"][0]["template"]["k"] == [2, 5]
+    for template in broken:
+        path.write_text(json.dumps({"templates": [{"k": [2, 5, 11], "forbidden": "schur", "M": 20}, template]}))
+        proc = run_cli("verify", "--instances", str(path), "--trials", "2", "--no-timing")
+        assert proc.returncode == 2, template
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_verify_config_without_templates_exits_2(tmp_path):
+    path = tmp_path / "camp.json"
+    path.write_text(json.dumps({"template": [{"k": [2, 5, 11], "forbidden": "schur", "M": 20}]}))
+    proc = run_cli("verify", "--instances", str(path), "--trials", "2")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: campaign config has no 'templates' key\n"
 
 
 def test_replay_mode_flag_and_explicit_dsets(tmp_path):

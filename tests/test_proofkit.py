@@ -91,6 +91,17 @@ def project(v, S):
     return GridFunction(v.spec, S.apply(v.samples))
 
 
+def test_at_matches_moveaxis_gather():
+    rng = np.random.default_rng(15)
+    for d, dims in ((1, (12,)), (2, (6, 10)), (3, (4, 5, 7))):
+        arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        for shape in ((d,), (9, d), (3, 4, d)):  # one frequency, (m, d) and (m, n, d)
+            ns = rng.integers(-40, 40, size=shape)
+            ns.flat[0] = -7  # a negative frequency in every case
+            old = arr[tuple(np.moveaxis(ns % np.array(arr.shape), -1, 0))]
+            assert np.array_equal(_at(arr, ns), old)
+
+
 def test_span_single_carrier():
     spec = GridSpec((32,), (10,))
     f = random_function(spec, range(-5, 6), 1)
