@@ -17,7 +17,6 @@ sums differ from the caller's.
 from __future__ import annotations
 
 import ctypes
-import glob
 import os
 
 import numpy as np
@@ -26,9 +25,10 @@ import numpy as np
 def openblas() -> ctypes.CDLL | None:
     """numpy's bundled OpenBLAS with its 64-bit-int thread calls, or None."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (n for n in names if n.startswith("libscipy_openblas")):
         try:
-            lib = ctypes.CDLL(path)
+            lib = ctypes.CDLL(os.path.join(libs, name))
             lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
             lib.scipy_openblas_set_num_threads64_.restype = None
             lib.scipy_openblas_get_num_threads64_.argtypes = []
