@@ -8,10 +8,14 @@ under `--no-timing --workers 1`, and measure chains: density and atomic
 chains on Z under each hypothesis and density and atomic lifts) and prints one
 `name sha256` line per report.  Two checkouts produce the same lines exactly
 when every report is byte-identical.  Uses the `src/` next to this script.
+`--check FILE` runs the runs named in FILE, a file of such lines, prints
+each digest that differs and exits 1 if any does.  `scripts/digests.txt`
+holds the current lines.
 
-Usage: python scripts/report_digests.py
+Usage: python scripts/report_digests.py [--check scripts/digests.txt]
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -92,22 +96,46 @@ RUNS = [
 ]
 
 
-def main() -> int:
-    failed = 0
+def digests(names=None) -> dict[str, str]:
+    """{name: sha256 of the report bytes} for the runs named, in RUNS order
+    (all of them when names is None).  Raises RuntimeError on a run that
+    exits nonzero or writes no report."""
+    runs = [(name, argv) for name, argv in RUNS if names is None or name in names]
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, config in CONFIGS.items():
             (tmp / name).write_text(json.dumps(config))
-        for name, argv in RUNS:
+        for name, argv in runs:
             argv = [str(tmp / a) if a in CONFIGS else a for a in argv]
-            out = tmp / f"{name}.out"
-            code = cli.main(argv + ["--out", str(out)])
-            if code != 0 or not out.is_file():
-                print(f"{name} exit code {code}", file=sys.stderr)
-                failed += 1
-                continue
-            print(name, hashlib.sha256(out.read_bytes()).hexdigest())
-    return 1 if failed else 0
+            report = tmp / f"{name}.out"
+            code = cli.main(argv + ["--out", str(report)])
+            if code != 0 or not report.is_file():
+                raise RuntimeError(f"{name} exit code {code}")
+            out[name] = hashlib.sha256(report.read_bytes()).hexdigest()
+    return out
+
+
+def read_digests(path) -> dict[str, str]:
+    """The `name sha256` lines of a digest file as a dict."""
+    return dict(line.split() for line in Path(path).read_text().splitlines() if line.strip())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the digests in FILE instead of printing them")
+    args = parser.parse_args(argv)
+    if args.check is None:
+        for name, sha in digests().items():
+            print(name, sha)
+        return 0
+    want = read_digests(args.check)
+    got = digests(want)
+    bad = [name for name in want if got.get(name) != want[name]]
+    for name in bad:
+        print(f"{name}: expected {want[name]}, got {got.get(name, 'no such run')}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -108,8 +108,9 @@ class SetReport:
     `array` holds the members as the rows of a read-only (n, d) int64 array,
     sorted lexicographically and distinct; a scalar member n is the row [n].
     The constructor takes any iterable of frequencies (ints or tuples) or an
-    int64 array of them, repeats allowed.  `members` builds the sorted tuple
-    of frequency tuples on each read and is not kept.
+    int64 array of them, repeats allowed; already-sorted scalar input is not
+    re-sorted.  `members` builds the sorted tuple of frequency tuples on each
+    read and is not kept.
     """
 
     array: np.ndarray
@@ -125,7 +126,8 @@ class SetReport:
         if a.ndim == 1:
             a = a[:, None]
         if a.shape[1] == 1:
-            a.sort(axis=0)
+            if not (a[1:] >= a[:-1]).all():  # one O(n) compare spares the sort
+                a.sort(axis=0)
         else:
             a = a[np.lexsort(a.T[::-1])]
         distinct = (a[1:] != a[:-1]).any(axis=1)
@@ -198,23 +200,32 @@ def admissible_signs(eps) -> bool:
 # ---------------------------------------------------------------------------
 
 def _closure(reach: np.ndarray, g: int) -> np.ndarray:
-    """reach ∪ (reach + g) ∪ (reach + 2g) ∪ ... inside the array range."""
+    """reach ∪ (reach + g) ∪ (reach + 2g) ∪ ... inside the array range, as a
+    new array.
+
+    Doubling shifts: after the pass with shift s = 2^k g the table holds every
+    shift of reach by 0, g, ..., (2^(k+1) - 1) g, so ⌈log2(n/g)⌉ contiguous
+    forward ORs cover all of them.  numpy buffers the overlapping operands, so
+    a pass reads the table as it was before that pass; an in-place reading
+    would add only more multiples of g, so the result is the same either way.
+    """
     n = reach.size
     if g <= 0:
         raise ValueError("closure needs a positive generator")
-    if g >= n:
-        return reach
-    pad = (-n) % g
-    r = np.concatenate([reach, np.zeros(pad, bool)]) if pad else reach.copy()
-    r = r.reshape(-1, g)
-    np.logical_or.accumulate(r, axis=0, out=r)
-    return r.reshape(-1)[:n]
+    r = reach.copy()
+    s = g
+    while s < n:
+        np.logical_or(r[s:], r[:-s], out=r[s:])
+        s *= 2
+    return r
 
 
 def _gap_blocks(blocks, gaps, w: Window) -> SetReport:
     """Window members of top - Σ_{j' >= i} n_j' gaps[j'] over nonnegative
     integers n, with some n positive when `nonzero`, united over the blocks
-    (top, i, nonzero).  One table per gap suffix serves every block."""
+    (top, i, nonzero).  One table per gap suffix serves every block, and the
+    union is one mask indexed p = lo + cap - v, so each block is a forward OR
+    of a table slice and the members come out ascending and distinct."""
     lo, hi = w.lo[0], w.hi[0]
     cap = max((top for top, _, _ in blocks), default=lo - 1) - lo
     if cap < 0:
@@ -225,12 +236,13 @@ def _gap_blocks(blocks, gaps, w: Window) -> SetReport:
     for g in reversed(gaps):
         tables.append(_closure(tables[-1], g))
     tables.reverse()
-    parts = [np.zeros(0, np.int64)]
+    mask = np.zeros(cap + 1, bool)
     for top, i, nonzero in blocks:
         if top >= lo:  # sums t in [start, top - lo] land in the window
             start = max(top - hi, int(nonzero))
-            parts.append(top - start - np.flatnonzero(tables[i][start : top - lo + 1]))
-    return SetReport(np.concatenate(parts), True)
+            tail = mask[lo + cap - top + start :]  # v = top - t sits at p = lo + cap - v
+            tail |= tables[i][start : top - lo + 1]
+    return SetReport((lo + cap - np.flatnonzero(mask))[::-1], True)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +292,8 @@ def _schur_increasing_dp(ks: list[int], lo: int, hi: int) -> np.ndarray:
                 new2[2 * g:] |= p1[: tmax + 1 - 2 * g]  # p1 -> p2 (s_j >= 2)
             new2 = _closure(new2, g)
         p1, p2 = new1, new2
-    start = max(ks[-1] - hi, 0)  # values k_J - T inside the window
-    return ks[-1] - start - np.flatnonzero(p2[start:])
+    start = max(ks[-1] - hi, 0)  # values k_J - T inside the window, ascending
+    return (ks[-1] - start - np.flatnonzero(p2[start:]))[::-1]
 
 
 def _sign_walk(vecs, bound: int = 1, w: Window | None = None,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from paleylab.grid import GridFunction, coeff, norm_l1, norm_l2, synth
+from paleylab import lab
+from paleylab.grid import GridFunction, WindowViolation, coeff, norm_l1, norm_l2, synth
 from paleylab.lab import (
     HypothesisNotCertified,
     Instance,
@@ -81,6 +82,25 @@ def test_check_ratio_scale_invariance():
     assert abs(check_ratio(g, [2, 5]) - r1) < 1e-12 * max(r1, 1)
 
 
+def test_check_ratio_equals_per_k_coefficient_sum():
+    inst = Instance(k=(2, 5, 11), forbidden="schur", M=24, seed=0)
+    f = make_instance(inst)
+    K = [11, -3, 2, 24, -24, 5]
+    total = 0.0
+    for k in K:
+        total += abs(coeff(f, k)) ** 2
+    assert check_ratio(f, K) == math.sqrt(total) / norm_l1(f)
+
+
+def test_check_ratio_rejects_k_outside_window():
+    inst = Instance(k=(2, 5), forbidden="negative-halfline", M=8, seed=0)
+    f = make_instance(inst)
+    with pytest.raises(WindowViolation, match=r"\(9,\)"):
+        check_ratio(f, [2, 9])
+    with pytest.raises(WindowViolation):
+        check_ratio(f, [(-9,)])
+
+
 def test_check_ratio_zero_function():
     inst = Instance(k=(2,), forbidden="negative-halfline", M=4)
     f = synth({}, inst.grid())
@@ -116,6 +136,16 @@ def test_campaign_small_all_pass():
     assert report.failures == 0
     assert report.max_ratio <= math.sqrt(math.e) + 1e-6
     assert report.counterexamples == ()
+
+
+def test_campaign_propagates_instance_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("instance blew up")
+
+    monkeypatch.setattr(lab, "run_one", broken)
+    templates = [Instance(k=(2, 5, 11), forbidden="schur", M=20)]
+    with pytest.raises(RuntimeError, match="instance blew up"):
+        run_campaign(templates, trials=2, master_seed=5, workers=1)
 
 
 def test_campaign_deterministic_across_worker_counts():

@@ -10,6 +10,7 @@ from paleylab.sets import (
     SetReport,
     UndecidableWindow,
     Window,
+    _closure,
     admissible_signs,
     alt_sum_set,
     check_inclusion_s_in_schur_riesz,
@@ -52,6 +53,48 @@ def test_set_report_sorted_canonical():
     assert rep.array[:, 0].tolist() == [-1, 3, 5]
     rep2 = SetReport([(1, 2), (0, 5), (1, -1)], False)
     assert rep2.members == ((0, 5), (1, -1), (1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_set_report_array_independent_of_input_order(d):
+    rng = np.random.default_rng(16)
+    rows = np.unique(rng.integers(-50, 50, size=(40, d)), axis=0)  # ascending, distinct
+    want = rows.tolist()
+    shuffled = rows[rng.permutation(len(rows))]
+    repeated = np.repeat(rows, rng.integers(1, 4, size=len(rows)), axis=0)  # nondecreasing
+    for ms in (rows, rows[::-1], shuffled, repeated, repeated[::-1]):
+        for given in (ms, [tuple(m) for m in ms.tolist()]):
+            rep = SetReport(given, True)
+            assert rep.array.tolist() == want
+            assert rep.array.dtype == np.int64 and not rep.array.flags.writeable
+    for empty in ([], np.zeros(0, np.int64)):
+        assert SetReport(empty, False).array.shape == (0, 1)
+
+
+def _naive_closure(reach, g):
+    """reach ∪ (reach + g) ∪ (reach + 2g) ∪ ..., one shift of reach at a time."""
+    out = reach.copy()
+    for shift in range(g, reach.size, g):
+        out[shift:] |= reach[: reach.size - shift]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
+def test_closure_matches_repeated_shift_union(n):
+    rng = np.random.default_rng(n)
+    tables = [rng.random(n) < p for p in (0.02, 0.3)]
+    tables.append(np.zeros(n, bool))
+    one = np.zeros(n, bool)
+    one[rng.integers(n)] = True
+    tables.append(one)
+    for g in sorted({1, 2, 3, 5, 13, max(n - 1, 1), n, n + 1}):
+        for reach in tables:
+            before = reach.copy()
+            got = _closure(reach, g)
+            assert got.dtype == bool and got.tolist() == _naive_closure(reach, g).tolist()
+            assert got is not reach and reach.tolist() == before.tolist()
+    with pytest.raises(ValueError):
+        _closure(tables[0], 0)
 
 
 def _canonical(ms):
