@@ -13,15 +13,10 @@ import pathlib
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _load_script():
+def test_integer_report_digests_match_checked_in_file():
     spec = importlib.util.spec_from_file_location("report_digests", SCRIPTS / "report_digests.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod
-
-
-def test_integer_report_digests_match_checked_in_file():
-    mod = _load_script()
     want = {name: sha for name, sha in mod.read_digests(SCRIPTS / "digests.txt").items()
             if name.startswith("sets-") or name in ("riesz", "lift")}
     assert len(want) == 13
