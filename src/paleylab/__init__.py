@@ -29,7 +29,7 @@ from .sets import (
     schur_set,
     schur_set_via_gaps,
 )
-from .grid import GridFunction, GridSpec, auto_spec, coeff, inner, modulate, norm_l1, norm_l2, synth
+from .grid import GridFunction, GridSpec, auto_spec, coeff, norm_l1, norm_l2, synth
 from .riesz import RieszExpansion, riesz_expansion, riesz_polynomial
 from .proofkit import (
     Factorization,
@@ -93,7 +93,6 @@ __all__ = [
     "d_set",
     "factorize",
     "g_set",
-    "inner",
     "is_extremely_lacunary",
     "is_strongly_lacunary",
     "is_strongly_lacunary_ordered",
@@ -104,7 +103,6 @@ __all__ = [
     "lifted_schur_set",
     "make_instance",
     "measure_bound_via_total_order",
-    "modulate",
     "norm_l1",
     "norm_l2",
     "optimize_ratio",

@@ -168,10 +168,11 @@ def cmd_lift(args) -> int:
     e = Enumeration(parse_freqs(args.k))
     le = lift_enumeration(e)
     ok, witnesses = check_simple_s(e)
+    lacunarity = le.extreme_lacunarity()
     payload = {
         "pairs": [[p[0], list(p[1:])] for p in le.pairs()],
-        "extremely_lacunary": le.extreme_lacunarity().holds,
-        "exact": le.extreme_lacunarity().exact,
+        "extremely_lacunary": lacunarity.holds,
+        "exact": lacunarity.exact,
         "simple_s_ok": ok,
         "witnesses": [list(wit) for wit in witnesses],
         "s_members": lifted_s_set(le).array.tolist(),
@@ -188,21 +189,15 @@ def cmd_measures(args) -> int:
     bad = 0
     for i, run in enumerate(runs):
         e = Enumeration(run["k"])
-        hypothesis = run.get("hypothesis", "schur-riesz")
-        seed = int(run.get("seed", args.seed))
+        lift = run.get("lift")
+        # the lift chain always draws under the S hypothesis
+        hypothesis = "s" if lift else run.get("hypothesis", "schur-riesz")
+        draw = random_atomic_measure if run.get("type") == "atomic" else random_density_measure
         M = run.get("M")
-        if run.get("lift"):
-            mu = (
-                random_atomic_measure(e, "s", M or 64, seed=seed)
-                if run.get("type") == "atomic"
-                else random_density_measure(e, "s", M or 64, seed=seed)
-            )
+        mu = draw(e, hypothesis, M or 64, seed=int(run.get("seed", args.seed)))
+        if lift:
             rep = check_measure_bound_via_lift(mu, e)
         else:
-            if run.get("type") == "atomic":
-                mu = random_atomic_measure(e, hypothesis, M or 64, seed=seed)
-            else:
-                mu = random_density_measure(e, hypothesis, M or 64, seed=seed)
             rep = check_measure_bound(mu, e, hypothesis=hypothesis, M=M)
         problems = rep.check()
         bad += bool(problems)

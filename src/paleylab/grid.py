@@ -151,19 +151,6 @@ def coeff(f: GridFunction, n) -> complex:
     return complex(f.hat()[idx])
 
 
-def spectrum_of(f: GridFunction) -> dict[Vec, complex]:
-    """Windowed frequencies with nonzero (above 1e-15 relative) coefficients."""
-    hat = f.hat()
-    scale = max(np.max(np.abs(hat)), 1e-300)
-    out = {}
-    for v in f.spec.window_points():
-        idx = tuple(c % d for c, d in zip(v, f.spec.dims))
-        val = hat[idx]
-        if abs(val) > 1e-15 * scale:
-            out[v] = complex(val)
-    return out
-
-
 def synth(spectrum, spec: GridSpec) -> GridFunction:
     """Samples of Σ c_n e^{i n·t} for a windowed spectrum: a mapping from
     frequency to coefficient, or a pair (frequencies as (n, ndim) ints,
@@ -195,14 +182,3 @@ def norm_l1(f: GridFunction) -> float:
 def norm_l2(f: GridFunction) -> float:
     return float(np.sqrt(np.mean(np.abs(f.samples) ** 2)))
 
-
-def inner(f: GridFunction, g: GridFunction) -> complex:
-    """Mean of f times conjugate g."""
-    if f.spec != g.spec:
-        raise ValueError("grid specs disagree")
-    return complex(np.vdot(g.samples, f.samples) / f.spec.size)
-
-
-def modulate(f: GridFunction, k) -> GridFunction:
-    """Pointwise product with e^{i k·t}; unitary on the grid."""
-    return GridFunction(f.spec, f.samples * grid_character(f.spec, k))

@@ -306,13 +306,10 @@ def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9, set
 
 def failure_dump(inst: Instance, index: int, master_seed: int, f: GridFunction, trace_json):
     """Replayable serialization of a failing instance."""
-    hat = f.hat()
-    n1 = f.spec.dims[0]
-    spectrum = []
-    for n in range(-inst.M, inst.M + 1):
-        c = hat[n % n1]
-        if abs(c) > 1e-15:
-            spectrum.append([n, float(c.real), float(c.imag)])
+    ns = np.arange(-inst.M, inst.M + 1)
+    c = f.hat()[ns % f.spec.dims[0]]
+    keep = np.abs(c) > 1e-15
+    spectrum = [list(t) for t in zip(ns[keep].tolist(), c.real[keep].tolist(), c.imag[keep].tolist())]
     return {
         "template": inst.to_json(),
         "index": index,

@@ -6,7 +6,8 @@ the ambient group has at most one integer combination over the lifted set, so
 the sign-vector part of any member IS its coefficient vector.  Windowed to
 the cube {-1,0,1}^J (the natural window: each lifted axis only ever carries
 coefficients from {-1,0,1}), every set of interest becomes an exact, tiny
-enumeration over staircase coefficient paths.
+enumeration: the Schur set and the D_j walk the gap blocks of `sets.py`
+through the cube, where each gap coefficient has at most three choices.
 """
 
 from __future__ import annotations
@@ -15,8 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeOrder, Vec, vec_scale, vec_sub
-from .sets import Enumeration, SetReport, isin_rows, riesz_support, s_set
+from .cones import ConeOrder, Vec
+from .sets import (
+    Enumeration,
+    SetReport,
+    _d_blocks,
+    _schur_blocks,
+    isin_rows,
+    riesz_support,
+    s_set,
+)
 
 
 @dataclass(frozen=True)
@@ -59,16 +68,9 @@ def lift_enumeration(e: Enumeration) -> LiftedEnumeration:
     return LiftedEnumeration(e)
 
 
-def _cube_ok(v: Vec) -> bool:
-    return all(-1 <= c <= 1 for c in v)
-
-
-def lifted_s_set(le: LiftedEnumeration, gamma_half: int | None = None) -> SetReport:
+def lifted_s_set(le: LiftedEnumeration) -> SetReport:
     """S of the lifted enumeration: members (Σ ε_j γ_j, ε)."""
-    members = s_set(Enumeration(le.pairs())).array
-    if gamma_half is not None:
-        members = members[np.abs(members[:, 0]) <= gamma_half]
-    return SetReport(members, True)
+    return s_set(Enumeration(le.pairs()))
 
 
 def lifted_riesz_support(le: LiftedEnumeration) -> SetReport:
@@ -76,97 +78,48 @@ def lifted_riesz_support(le: LiftedEnumeration) -> SetReport:
     return riesz_support(le.pairs())
 
 
-def _staircases(lo_idx: int, hi_idx: int, start: int, last_cap: int):
-    """Integer paths u_{lo..hi} with u_lo = start, u >= 0, steps in {-1,0,1},
-    and u_hi <= last_cap; yields tuples."""
-    if lo_idx > hi_idx:
-        yield ()
-        return
-    stack = [(lo_idx, (start,))]
-    while stack:
-        idx, path = stack.pop()
-        if idx == hi_idx:
-            if path[-1] <= last_cap:
-                yield path
-            continue
-        for step in (-1, 0, 1):
-            nxt = path[-1] + step
-            if nxt >= 0:
-                stack.append((idx + 1, path + (nxt,)))
+def _cube_blocks(blocks, P: np.ndarray) -> SetReport:
+    """Cube members of top - Σ_{g >= i} n_g ΔK_g over nonnegative integers n,
+    with some n positive when `nonzero`, united over the blocks (top, i,
+    nonzero) of `sets._schur_blocks` and `sets._d_blocks`: the lift's
+    `sets._gap_blocks`.  The rows of P are the lifted pairs K_0, ..., K_{J-1}.
 
-
-def lifted_schur_set(le: LiftedEnumeration, gamma_half: int | None = None) -> SetReport:
-    """Schur set of the lifted enumeration inside the {-1,0,1}^J cube window.
-
-    Members have the gap representation K_i - Σ_{j'>=i} u_j' ΔK_j'; inside
-    the cube the coefficient paths are forced into staircases with u_i = 0,
-    |u_{l} - u_{l-1}| <= 1 and u_{J-1} <= 1, so the listing is exact.
+    ΔK_g has vector part e_{g+1} - e_g, so coordinate g of a member is
+    t_g + n_g - n_{g-1}, and it is final once n_g is chosen.  All blocks walk
+    g = 0, 1, ... together, n_g = 0 below a block's i; the cube leaves n_g at
+    most three values, so the walk lists every cube member exactly.
     """
-    pairs = le.pairs()
-    J = le.J
-    gaps = [vec_sub(pairs[j + 1], pairs[j]) for j in range(J - 1)]
-    members = set()
-    for i in range(1, J):  # 1-based start index of the representation
-        for path in _staircases(i, J - 1, 0, 1):
-            if all(u == 0 for u in path):
-                continue
-            val = pairs[i - 1]
-            for off, u in enumerate(path):
-                if u:
-                    val = vec_sub(val, vec_scale(u, gaps[i - 1 + off]))
-            if _cube_ok(val[1:]):
-                members.add(val)
-    if gamma_half is not None:
-        members = {m for m in members if abs(m[0]) <= gamma_half}
-    return SetReport(members, True)
+    val = np.zeros((len(blocks), P.shape[1]), np.int64)
+    start = np.zeros(len(blocks), np.int64)
+    pos = np.zeros(len(blocks), bool)  # some n > 0, or not asked for
+    for b, (top, i, nonzero) in enumerate(blocks):
+        val[b], start[b], pos[b] = top, i, not nonzero
+    for g, dk in enumerate(np.diff(P, axis=0)):
+        # n_g = -1 - c, -c or 1 - c puts coordinate g = c + n_g in [-1, 1]
+        n = -1 - val[:, 1 + g, None] + np.arange(3)
+        row, col = np.nonzero((n >= 0) & ((start[:, None] <= g) | (n == 0)))
+        n = n[row, col]
+        val, start, pos = val[row] - n[:, None] * dk, start[row], pos[row] | (n > 0)
+    return SetReport(val[pos & np.all(np.abs(val[:, 1:]) <= 1, axis=1)], True)
 
 
-def lifted_d_set(j: int, le: LiftedEnumeration, gamma_half: int | None = None) -> SetReport:
-    """D_j of the lifted enumeration inside the cube window (exact).
-
-    Members are -Σ n_j' ΔK_j' with n >= 0, some n > 0, and the nonzero
-    indices at or below j forming a block ending at j or absent entirely.
-    """
-    pairs = le.pairs()
-    J = le.J
-    if not 1 <= j <= J:
-        raise ValueError(f"index j={j} out of range 1..{J}")
-    if j == J:
-        return SetReport([], True)
-    gaps = [vec_sub(pairs[i + 1], pairs[i]) for i in range(J - 1)]
-    members = set()
-
-    def emit(path, start_idx):
-        val = (0,) * (1 + J)
-        for off, u in enumerate(path):
-            if u:
-                val = vec_sub(val, vec_scale(u, gaps[start_idx - 1 + off]))
-        if _cube_ok(val[1:]):
-            members.add(val)
-
-    # block [i, j]: coefficients >= 1 there, >= 0 above j, zero below i
-    for i in range(1, j + 1):
-        for path in _staircases(i, J - 1, 1, 1):
-            if any(u < 1 for u in path[: j - i + 1]):
-                continue
-            emit(path, i)
-    # support strictly above j; the leading coefficient may be 0 or 1
-    if j + 1 <= J - 1:
-        for start in (0, 1):
-            for path in _staircases(j + 1, J - 1, start, 1):
-                if any(u > 0 for u in path):
-                    emit(path, j + 1)
-    if gamma_half is not None:
-        members = {m for m in members if abs(m[0]) <= gamma_half}
-    return SetReport(members, True)
+def lifted_schur_set(le: LiftedEnumeration) -> SetReport:
+    """Schur set of the lifted enumeration inside the {-1,0,1}^J cube window
+    (exact): the gap representation K_i - Σ_{g >= i} n_g ΔK_g, some n > 0."""
+    P = np.array(le.pairs(), np.int64)
+    return _cube_blocks(_schur_blocks(P), P)
 
 
-def lifted_d_sets(le: LiftedEnumeration, gamma_half: int | None = None) -> list[np.ndarray]:
-    """The D_j member arrays, each (n_j, 1 + J), for j = 1..J."""
-    return [lifted_d_set(j, le, gamma_half).array.reshape(-1, 1 + le.J) for j in range(1, le.J + 1)]
+def lifted_d_sets(le: LiftedEnumeration) -> list[np.ndarray]:
+    """The D_j member arrays of the lifted enumeration inside the cube window
+    (exact), each (n_j, 1 + J), for j = 1..J; D_J is empty."""
+    P = np.array(le.pairs(), np.int64)
+    return [_cube_blocks(_d_blocks(j, P), P).array for j in range(1, le.J)] + [
+        np.zeros((0, 1 + le.J), np.int64)
+    ]
 
 
-def check_simple_s(e: Enumeration, gamma_half: int | None = None):
+def check_simple_s(e: Enumeration):
     """Exactness of the lifted simple set: S = Schur ∩ Riesz after lifting,
     plus the projection of lifted S membership to plain S membership.
 
@@ -176,11 +129,8 @@ def check_simple_s(e: Enumeration, gamma_half: int | None = None):
     le = lift_enumeration(e)
     s_lift, schur, riesz = (
         rep.array.reshape(-1, 1 + le.J)
-        for rep in (lifted_s_set(le, gamma_half), lifted_schur_set(le, gamma_half),
-                    lifted_riesz_support(le))
+        for rep in (lifted_s_set(le), lifted_schur_set(le), lifted_riesz_support(le))
     )
-    if gamma_half is not None:
-        riesz = riesz[np.abs(riesz[:, 0]) <= gamma_half]
     rhs = schur[isin_rows(schur, riesz)]
     apart = np.concatenate([s_lift[~isin_rows(s_lift, rhs)], rhs[~isin_rows(rhs, s_lift)]])
     witnesses = [tuple(m) for m in SetReport(apart, True).array.tolist()]

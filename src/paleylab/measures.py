@@ -271,7 +271,7 @@ def check_measure_bound_via_lift(mu, e: Enumeration) -> MeasureChainReport:
 
     base_s = SetReport(lifted_s_set(le).array[:, 0], True).array
     dsets = lifted_d_sets(le)
-    schur = lifted_schur_set(le).array.reshape(-1, 1 + J)
+    schur = lifted_schur_set(le).array
     gammas = np.array(le.gammas(), np.int64)
     # every gamma coordinate the replay reads: supports, D_j and D_j + k_j, k_{j+1}
     reach = [lifted_riesz_support(le).array[:, 0], schur[:, 0], gammas]

@@ -360,6 +360,24 @@ def schur_set(e: Enumeration, w: Window, coeff_bound: int | None = None) -> SetR
     return SetReport(_sign_walk(e.entries, bound, w, DFS_NODE_CAP), False)
 
 
+def _schur_blocks(ks) -> list:
+    """The gap blocks (top, i, nonzero) of the Schur set: k_i - Σ_{j' >= i}
+    n_j' Δk_j' with some n positive, for i < J.  The entries of ks are ints,
+    or int64 vectors for the lift."""
+    return [(ks[i], i, True) for i in range(len(ks) - 1)]
+
+
+def _d_blocks(j: int, ks) -> list:
+    """The gap blocks of D_j, 1 <= j < J: block [i, j] has every coefficient
+    there at least 1, so its top is -(Δk_i + ... + Δk_j) = k_i - k_{j+1};
+    when j < J - 1 one more block puts all the mass strictly above j.  ks as
+    for `_schur_blocks`."""
+    blocks = [(ks[i] - ks[j], i, False) for i in range(j)]
+    if j < len(ks) - 1:
+        blocks.append((0, j, True))
+    return blocks
+
+
 def _require_increasing(e: Enumeration):
     if e.dim != 1 or not e.is_increasing():
         raise ValueError("gap representation requires increasing enumeration")
@@ -372,8 +390,7 @@ def schur_set_via_gaps(e: Enumeration, w: Window) -> SetReport:
     the coefficients, so the windowed listing is exact.
     """
     _require_increasing(e)
-    ks = e.scalars()
-    return _gap_blocks([(ks[i - 1], i - 1, True) for i in range(1, e.J)], e.gaps(), w)
+    return _gap_blocks(_schur_blocks(e.scalars()), e.gaps(), w)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +516,7 @@ def d_set(j: int, e: Enumeration, w: Window) -> SetReport:
         raise ValueError(f"index j={j} out of range 1..{J}")
     if j == J:
         return SetReport([], True)
-    gaps = e.gaps()
-    # block [i, j], each coefficient >= 1 there
-    blocks = [(-sum(gaps[i - 1 : j]), i - 1, False) for i in range(1, j + 1)]
-    if j + 1 <= J - 1:  # no index <= j used; some index above j nonzero
-        blocks.append((0, j, True))
-    return _gap_blocks(blocks, gaps, w)
+    return _gap_blocks(_d_blocks(j, e.scalars()), e.gaps(), w)
 
 
 def preorder_less(j: int, m, n, e: Enumeration, w: Window) -> bool:

@@ -170,3 +170,21 @@ def test_campaign_failure_carries_replayable_dump():
     spec = inst.grid()
     rebuilt = synth({(n,): complex(re, im) for n, re, im in dump["spectrum"]}, spec)
     assert np.max(np.abs(rebuilt.samples - f.samples)) < 1e-9
+
+
+@pytest.mark.parametrize("k, forbidden, M", [((1, 3, 7), "s", 16), ((2, 5, 11), "schur", 20)])
+def test_failure_dump_spectrum_equals_window_loop(k, forbidden, M):
+    from paleylab.lab import failure_dump
+
+    inst = Instance(k=k, forbidden=forbidden, M=M)
+    f = make_instance(inst, instance_rng(3, 1))
+    hat = f.hat()
+    expected = []
+    for n in range(-M, M + 1):
+        c = hat[n % f.spec.dims[0]]
+        if abs(c) > 1e-15:
+            expected.append([n, float(c.real), float(c.imag)])
+    got = failure_dump(inst, 1, 3, f, None)["spectrum"]
+    assert got == expected  # the same floats, in the same order
+    assert all(type(x) is float for row in got for x in row[1:])
+    assert 0 < len(got) < 2 * M + 1  # the 1e-15 filter drops the zeros

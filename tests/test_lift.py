@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 
 from paleylab.lift import (
@@ -98,3 +100,44 @@ def test_projection_property_exhaustive():
         base = {v[0] for v in s_set(e).members}
         for m in lifted_s_set(le).members:
             assert m[0] in base
+
+
+def _definition_oracle(le):
+    """The lifted Schur set and D_1..D_{J-1} straight from their gap
+    definitions, over every n in [0, 2(J-1)]^(J-1), cut to the cube.  In the
+    cube every coefficient is at most J - 1, so the listing is complete."""
+    P = np.array(le.pairs(), np.int64)
+    J = len(P)
+    n = np.array(list(itertools.product(range(2 * J - 1), repeat=J - 1)), np.int64)
+    sums = n @ np.diff(P, axis=0)  # Σ_g n_g ΔK_g
+
+    def rows(vals, keep):
+        keep &= np.all(np.abs(vals[:, 1:]) <= 1, axis=1)
+        return set(map(tuple, vals[keep].tolist()))
+
+    schur = set()
+    for i in range(J - 1):  # K_i - Σ_{g >= i} n_g ΔK_g, some n_g > 0
+        schur |= rows(P[i] - sums, ~n[:, :i].any(axis=1) & n[:, i:].any(axis=1))
+    dsets = []
+    for j in range(1, J):
+        low = n[:, :j] > 0  # the gap indices 1..j
+        # those in use form a block ending at j (no used index before an
+        # unused one), or none is used and the mass sits above j
+        block = ~(low[:, :-1] & ~low[:, 1:]).any(axis=1)
+        dsets.append(rows(-sums, block & n.any(axis=1)))
+    return schur, dsets
+
+
+def test_lifted_schur_and_d_sets_match_definitions():
+    rng = np.random.default_rng(2024)
+    ks = [[0, 5, -3], [4, 0], [7, -13, 29, 4, 0]]
+    for _ in range(12):
+        J = int(rng.integers(2, 6))
+        ks.append([int(g) for g in rng.choice(np.arange(-30, 31), size=J, replace=False)])
+    for gammas in ks:
+        le = lift_enumeration(Enumeration(gammas))
+        schur, dsets = _definition_oracle(le)
+        assert set(map(tuple, lifted_schur_set(le).array.tolist())) == schur, gammas
+        got = lifted_d_sets(le)
+        assert [set(map(tuple, d.tolist())) for d in got[:-1]] == dsets, gammas
+        assert got[-1].shape == (0, 1 + le.J)

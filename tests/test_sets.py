@@ -269,8 +269,8 @@ def test_s_set_cap():
         ("s", [5, -2, 0, 9], None),
         ("s", [(2, 1), (0, 3), (5, -2), (1, 1)], None),
         ("lifted", [7, -13, 29, 4], None),
-        ("lifted", [7, -13, 29, 4], 10),
-        ("lifted", [1, 2, 3, 0], 2),
+        ("lifted", [7, -13, 29, 4, -2], None),
+        ("lifted", [1, 2, 3, 0], None),
         ("schur", [3, 1, 7, 2], (-12, 12)),
         ("schur", [5, -2, 9, 4], (-30, 3)),
         ("schur", [(2, 1), (0, 3), (5, -2)], ((-6, -4), (4, 9))),
@@ -283,10 +283,7 @@ def test_sign_walk_against_product_oracle(kind, ks, arg):
         assert set(s_set(e).members) == _admissible_values(e.entries, 1)
     elif kind == "lifted":
         le = lift_enumeration(e)
-        expected = _admissible_values(le.pairs(), 1)
-        if arg is not None:
-            expected = {m for m in expected if abs(m[0]) <= arg}
-        assert set(lifted_s_set(le, arg).members) == expected
+        assert set(lifted_s_set(le).members) == _admissible_values(le.pairs(), 1)
     else:
         w = Window(*arg)
         rep = schur_set(e, w, coeff_bound=2)
