@@ -86,6 +86,74 @@ class GridSpec:
         return mask
 
 
+#: axes of at most this many points take the closed-form butterflies of `dft`
+_SMALL_AXIS = 4
+#: points per block of axis-0 slices in the butterfly passes of `dft`
+_BLOCK = 1 << 15
+_SIN_60 = math.sqrt(3) / 2
+
+
+def _butterfly(x: np.ndarray, axis: int, sign: int) -> None:
+    """DFT of the C-contiguous complex array x along one axis of 2-4 points,
+    in place, with kernel e^(sign 2 pi i jk / n): the radix-2, 3 and 4
+    butterflies (C. Van Loan, Computational Frameworks for the FFT, §1.3),
+    where +-1 and +-i are exact."""
+    n = x.shape[axis]
+    v = x.reshape(math.prod(x.shape[:axis]), n, -1)
+    if n == 2:
+        a, b = v[:, 0], v[:, 1]
+        s = a + b
+        np.subtract(a, b, out=b)
+        a[...] = s
+    elif n == 3:
+        # a + s, then a - s/2 +- i (sqrt(3)/2) d, for s = b + c and d = b - c
+        a, b, c = v[:, 0], v[:, 1], v[:, 2]
+        s = b + c
+        d = b - c
+        d *= sign * _SIN_60 * 1j
+        t = s * -0.5
+        t += a
+        a += s
+        np.add(t, d, out=b)
+        np.subtract(t, d, out=c)
+    else:
+        a, b, c, d = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+        p, q, r, u = a + c, a - c, b + d, b - d
+        u *= sign * 1j
+        np.add(p, r, out=a)
+        np.add(q, u, out=b)
+        np.subtract(p, r, out=c)
+        np.subtract(q, u, out=d)
+
+
+def dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The unnormalised DFT of x over every axis as a new complex array:
+    np.fft.fftn(x), or with `inverse` size * np.fft.ifftn(x).
+
+    The axes of more than 4 points go through one numpy call, so a grid with
+    no shorter axis gets numpy's bytes; the axes of 1-4 points (the lifted
+    axes of a product grid) take closed-form butterflies instead, which cost a
+    few array passes where numpy runs one tiny transform per line.
+    """
+    shape = x.shape
+    big = tuple(i for i, n in enumerate(shape) if n > _SMALL_AXIS)
+    if not big:
+        out = np.array(x, complex)
+    elif inverse:
+        out = np.fft.ifftn(x, axes=big) * math.prod(shape[i] for i in big)
+    else:
+        out = np.fft.fftn(x, axes=big)
+    out = np.ascontiguousarray(out)
+    small = [axis for axis, n in enumerate(shape) if 1 < n <= _SMALL_AXIS]
+    # the axes after the first mix no two of its slices, so unless axis 0 is
+    # small itself, each block of its slices takes every butterfly in cache
+    step = shape[0] if shape[0] <= _SMALL_AXIS else max(1, _BLOCK // math.prod(shape[1:]))
+    for lo in range(0, shape[0], step) if small else ():
+        for axis in small:
+            _butterfly(out[lo : lo + step], axis, 1 if inverse else -1)
+    return out
+
+
 def _smooth_size(n: int) -> int:
     """Smallest 5-smooth integer >= n (fast FFT lengths)."""
     best = None
@@ -129,7 +197,7 @@ class GridFunction:
     def hat(self) -> np.ndarray:
         """All discrete coefficients, index n taken modulo N per axis."""
         if self._hat_cache is None:
-            object.__setattr__(self, "_hat_cache", np.fft.fftn(self.samples) / self.spec.size)
+            object.__setattr__(self, "_hat_cache", dft(self.samples) / self.spec.size)
         return self._hat_cache
 
 
@@ -172,7 +240,7 @@ def synth(spectrum, spec: GridSpec) -> GridFunction:
     if outside.any():
         spec.require_window(tuple(freqs[int(np.argmax(outside))].tolist()))
     np.add.at(acc, tuple((freqs % np.array(spec.dims)).T), values)
-    return GridFunction(spec, np.fft.ifftn(acc) * spec.size)
+    return GridFunction(spec, dft(acc, inverse=True))
 
 
 def norm_l1(f: GridFunction) -> float:

@@ -128,8 +128,7 @@ def check_simple_s(e: Enumeration):
     """
     le = lift_enumeration(e)
     s_lift, schur, riesz = (
-        rep.array.reshape(-1, 1 + le.J)
-        for rep in (lifted_s_set(le), lifted_schur_set(le), lifted_riesz_support(le))
+        rep.array for rep in (lifted_s_set(le), lifted_schur_set(le), lifted_riesz_support(le))
     )
     rhs = schur[isin_rows(schur, riesz)]
     apart = np.concatenate([s_lift[~isin_rows(s_lift, rhs)], rhs[~isin_rows(rhs, s_lift)]])

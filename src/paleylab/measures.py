@@ -36,6 +36,10 @@ from .riesz import riesz_expansion
 from .sets import Enumeration, SetReport, Window, isin_rows, riesz_support, s_set, schur_set
 
 
+#: entries (frequencies x atoms) per block of `AtomicMeasure.hat`
+_HAT_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely many point masses at arbitrary (off-grid) locations."""
@@ -60,20 +64,32 @@ class AtomicMeasure:
     def hat(self, ns) -> np.ndarray:
         """mu-hat at each frequency of `ns`, rows of `dim` ints.
 
-        One pass per atom, vectorised over the frequencies.  Mass times
-        e^{-i n.x} is formed from real and imaginary parts, so each entry
-        gets the float operations of a per-frequency sum over the atoms, in
-        the same order; numpy's vectorised complex product may fuse them.
+        One pass over frequencies x atoms, in blocks of at most _HAT_BLOCK
+        entries.  Mass times e^{-i n.x} is formed from real and imaginary
+        parts (numpy's vectorised complex product may fuse them), and each row
+        is summed over the atoms in order by `cumsum` onto a zero start, so
+        every entry gets the float operations of a per-frequency sum over the
+        atoms.
         """
         freqs = np.asarray(ns, np.int64).reshape(-1, self.dim)
         out = np.zeros(len(freqs), complex)
-        for loc, mass in self.atoms:
-            phase = np.zeros(len(freqs))
-            for c, x in zip(freqs.T, loc):
-                phase = phase + c * x
+        if not self.atoms:
+            return out
+        locs = np.array([loc for loc, _ in self.atoms])
+        masses = np.array([m for _, m in self.atoms])
+        step = max(1, _HAT_BLOCK // len(masses))
+        for lo in range(0, len(freqs), step):
+            block = freqs[lo : lo + step]
+            phase = np.zeros((len(block), len(masses)))
+            for c, x in zip(block.T, locs.T):
+                phase = phase + c[:, None] * x
             w = np.exp(-1j * phase)
-            out.real += mass.real * w.real - mass.imag * w.imag
-            out.imag += mass.real * w.imag + mass.imag * w.real
+            out.real[lo : lo + step] += np.cumsum(
+                masses.real * w.real - masses.imag * w.imag, axis=1
+            )[:, -1]
+            out.imag[lo : lo + step] += np.cumsum(
+                masses.real * w.imag + masses.imag * w.real, axis=1
+            )[:, -1]
         return out
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeOrder, Vec, as_vec, is_strongly_lacunary, vec_add, vec_scale, vec_sub
-from .grid import GridFunction, norm_l1, norm_l2
+from .grid import GridFunction, dft, norm_l1, norm_l2
 from .sets import Enumeration, isin_rows
 
 RANK_THRESHOLD = 1e-10
@@ -225,6 +225,11 @@ class ProofTrace:
             out.append("coefficient mass on K exceeds the two-term bound")
         if self.ratio > self.certified_constant + tol:
             out.append(f"ratio {self.ratio:.9f} exceeds {self.certified_constant}")
+        # the g conj(h) = f defect bounds |<g, h e_n> - f-hat(n)| (Parseval),
+        # so this also covers the canonical replays that read f-hat for them
+        for name, res in zip(("|g| = |h|", "g conj(h) = f"), self.factorization_residuals):
+            if res > tol:
+                out.append(f"factorization residual {name}: {res:.3e}")
         return out
 
     @property
@@ -335,12 +340,17 @@ def _freqs(ns, d: int) -> np.ndarray:
     return np.array(ns, np.int64).reshape(len(ns), d)
 
 
-def _two_step_trace(f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp=None):
+def _two_step_trace(
+    f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp=None, canonical=False
+):
     """Shared two-step machinery for the "new" and "classic" modes.
 
     L_j = span{c e_n : n in D_j} for the carrier c, Q_j = A_{j+1} L_j (its
     generators are D_j + k_{j+1}), Q_0 = 0 and Q_J the whole space.  hexp =
     (frequencies, coefficients) expands h = c sum eta_t e_t; None means h = c.
+    `canonical` says (g, h) is `factorize(f)` with c = h: then g conj(c) = f
+    pointwise, so the coefficients <g, c e_n> are f-hat and need no transform
+    of their own.
     """
     spec = f.spec
     d = spec.ndim
@@ -349,8 +359,8 @@ def _two_step_trace(f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden,
     _check_support_and_hypothesis(f, forbidden, f_l2, f"mode {mode}")
 
     hat = f.hat()
-    F = np.fft.fftn(np.abs(carrier) ** 2) / spec.size
-    gc = np.fft.fftn(gfun.samples * np.conj(carrier)) / spec.size  # <g, c e_n>
+    F = dft(np.abs(carrier) ** 2) / spec.size
+    gc = hat if canonical else dft(gfun.samples * np.conj(carrier)) / spec.size  # <g, c e_n>
     hs, eta = hexp if hexp is not None else (np.zeros((1, d), np.int64), np.ones(1, complex))
     ks = _freqs(e_ks, d)
     Ls = [_Span(F, ds) for ds in dsets]
@@ -472,6 +482,7 @@ def replay(
     if mode not in ("new", "classic"):
         raise ValueError(f"unknown mode {mode!r}")
 
+    canonical = mode == "new" and factorization is None
     if mode == "classic":
         if factorization is None:
             raise ValueError("classic mode needs an analytic factorization")
@@ -493,7 +504,7 @@ def replay(
         hs = -np.arange(h_degree + 1).reshape(-1, 1)
         hexp = (hs, _at(hhat, hs))
     else:
-        fac = factorization if factorization is not None else factorize(f)
+        fac = factorize(f) if canonical else factorization
         gfun, hfun = fac.g, fac.h
         carrier = hfun.samples
         h_degree = 0
@@ -527,7 +538,7 @@ def replay(
     kvecs = [(k,) for k in ks]
     flags = _windowed_set_flags(_freqs(kvecs, 1), dvecs, floor, (-1,))
     return _two_step_trace(
-        f, kvecs, dvecs, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp
+        f, kvecs, dvecs, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp, canonical
     )
 
 
@@ -556,7 +567,7 @@ def replay_sets(
     members = np.concatenate(dvecs)
     depth = -int(members.min()) if members.size else 1
     return _two_step_trace(
-        f, kvecs, dvecs, fac.h.samples, fac.g, fac.h, "new", depth, forbidden, flags
+        f, kvecs, dvecs, fac.h.samples, fac.g, fac.h, "new", depth, forbidden, flags, None, True
     )
 
 
@@ -575,8 +586,9 @@ def _replay_complementary(f: GridFunction, ks: list[int], factorization):
 
     fac = factorization if factorization is not None else factorize(f)
     hat = f.hat()
-    F = np.fft.fftn(np.abs(fac.h.samples) ** 2) / size
-    gc = np.fft.fftn(fac.g.samples * np.conj(fac.h.samples)) / size  # <g, h e_n>
+    F = dft(np.abs(fac.h.samples) ** 2) / size
+    # <g, h e_n>: f-hat for the canonical factorization, where g conj(h) = f
+    gc = hat if factorization is None else dft(fac.g.samples * np.conj(fac.h.samples)) / size
     kv = _freqs(ks, 1)
     # P_j = span{h e_n : n in [-k_j, 0)}; Q_j = A_j P_j has generators [0, k_j)
     Ps = [_Span(F, np.arange(-k, 0).reshape(-1, 1)) for k in ks]
@@ -667,6 +679,7 @@ def replay_group(
     forbidden = [v for v in box if order.in_strict_cone(vec_scale(-1, v))]
     fac = factorize(f)
     flags = _cone_set_flags(_freqs(ks, e.dim), dsets, order)
+    depth = max(spec.window_half)
     return _two_step_trace(
-        f, ks, dsets, fac.h.samples, fac.g, fac.h, "new", max(spec.window_half), forbidden, flags
+        f, ks, dsets, fac.h.samples, fac.g, fac.h, "new", depth, forbidden, flags, None, True
     )

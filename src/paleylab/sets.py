@@ -296,10 +296,19 @@ def _schur_increasing_dp(ks: list[int], lo: int, hi: int) -> np.ndarray:
     return (ks[-1] - start - np.flatnonzero(p2[start:]))[::-1]
 
 
+def _rows(vals, d: int) -> np.ndarray:
+    """Frequency tuples as the rows of an (n, d) int64 array, so that an empty
+    collection keeps its dimension."""
+    try:
+        return np.array(list(vals), np.int64).reshape(-1, d)
+    except OverflowError:
+        raise ValueError("a member does not fit in int64") from None
+
+
 def _sign_walk(vecs, bound: int = 1, w: Window | None = None,
-               node_cap: int | None = None) -> set:
+               node_cap: int | None = None) -> np.ndarray:
     """Values Σ ε_j v_j over integer sign vectors with |ε_j| <= bound meeting
-    the partial-sum conditions of `admissible_signs`.
+    the partial-sum conditions of `admissible_signs`, as (n, d) int64 rows.
 
     With a window only the values inside it are kept, and a branch is cut
     once its remaining steps cannot bring the value back into the window.
@@ -336,7 +345,7 @@ def _sign_walk(vecs, bound: int = 1, w: Window | None = None,
                 vec_add(val, vec_scale(epsv, vecs[j])))
 
     rec(0, 0, False, False, (0,) * d)
-    return out
+    return _rows(out, d)
 
 
 def schur_set(e: Enumeration, w: Window, coeff_bound: int | None = None) -> SetReport:
@@ -483,7 +492,7 @@ def alt_sum_set(e: Enumeration, cap: int = ALT_SUM_CAP) -> SetReport:
             rec(nxt + 1, length + 1, vec_add(val, vec_scale(sign, e.entries[nxt])))
 
     rec(0, 0, zero)
-    return SetReport(sorted(out), True)
+    return SetReport(_rows(out, d), True)
 
 
 # ---------------------------------------------------------------------------

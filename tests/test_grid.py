@@ -9,6 +9,7 @@ from paleylab.grid import (
     WindowViolation,
     auto_spec,
     coeff,
+    dft,
     norm_l1,
     norm_l2,
     synth,
@@ -139,3 +140,27 @@ def test_multi_axis_coeff_and_synth():
     ns = np.array(spec.window_points())
     vals = hat[tuple((ns % spec.dims).T)]
     assert ns[np.abs(vals) > 1e-15 * np.abs(hat).max()].tolist() == [[2, -1]]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(180, 3, 3, 3), (192, 3, 4, 3), (4,), (3,), (2,), (1,), (240, 3, 3, 3, 3, 3), (3, 4, 10)],
+)
+def test_dft_matches_numpy(shape):
+    # butterflies on the axes of 1-4 points (several blocks of axis-0 slices
+    # for the J = 5 lifted grid, small leading axes for the last shape)
+    rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    before = x.copy()
+    scale = 1e-15 * np.abs(x).sum()
+    assert np.abs(dft(x) - np.fft.fftn(x)).max() <= scale
+    assert np.abs(dft(x, inverse=True) - np.fft.ifftn(x) * x.size).max() <= scale
+    assert np.array_equal(x, before)
+
+
+def test_dft_is_numpy_bytes_without_small_axes():
+    rng = np.random.default_rng(11)
+    for shape in ((12, 9), (192,)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert dft(x).tobytes() == np.fft.fftn(x).tobytes()
+        assert dft(x, inverse=True).tobytes() == (np.fft.ifftn(x) * x.size).tobytes()

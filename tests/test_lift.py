@@ -141,3 +141,9 @@ def test_lifted_schur_and_d_sets_match_definitions():
         got = lifted_d_sets(le)
         assert [set(map(tuple, d.tolist())) for d in got[:-1]] == dsets, gammas
         assert got[-1].shape == (0, 1 + le.J)
+
+
+def test_empty_lifted_s_set_keeps_its_dimension():
+    le = lift_enumeration(Enumeration([1, 3]))
+    assert lifted_s_set(le).array.shape == (0, 3)
+    assert check_simple_s(Enumeration([1, 3])) == (True, [])

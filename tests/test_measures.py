@@ -57,6 +57,31 @@ def test_measure_hat_matches_per_frequency_oracle():
         assert np.abs(atoms.hat(ns) - oracle).max() < 1e-14 * atoms.total_variation
 
 
+def per_atom_hat(mu, ns):
+    """The per-atom loop that `AtomicMeasure.hat` runs as one pass."""
+    freqs = np.asarray(ns, np.int64).reshape(-1, mu.dim)
+    out = np.zeros(len(freqs), complex)
+    for loc, mass in mu.atoms:
+        phase = np.zeros(len(freqs))
+        for c, x in zip(freqs.T, loc):
+            phase = phase + c * x
+        w = np.exp(-1j * phase)
+        out.real += mass.real * w.real - mass.imag * w.imag
+        out.imag += mass.real * w.imag + mass.imag * w.real
+    return out
+
+
+def test_atomic_hat_bitwise_per_atom_loop():
+    # the last case spans several blocks of frequencies
+    rng = np.random.default_rng(23)
+    for dim, n_atoms, n_freqs in ((1, 9, 50), (2, 6, 40), (1, 0, 5), (1, 40, 3000)):
+        locs = rng.uniform(-np.pi, np.pi, (n_atoms, dim))
+        masses = rng.standard_normal(2 * n_atoms).view(complex)
+        mu = AtomicMeasure(zip(map(tuple, locs), masses))
+        ns = rng.integers(-60, 61, (n_freqs, dim))
+        assert mu.hat(ns).tobytes() == per_atom_hat(mu, ns).tobytes()
+
+
 def test_total_variation():
     mu = AtomicMeasure([((0.1,), 1 + 1j), ((2.0,), -0.5)])
     assert abs(mu.total_variation - (abs(1 + 1j) + 0.5)) < 1e-14

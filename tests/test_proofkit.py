@@ -746,3 +746,54 @@ def test_missing_generator_fails_membership():
     tr = replay(f, e, mode="new", dsets=dsets)
     assert tr.rows[0].membership_residual > 1e-6
     assert tr.check() != []
+
+
+# --- canonical replays read f-hat ---------------------------------------------
+
+def assert_traces_agree(t1, t2, tol=1e-12):
+    assert len(t1.rows) == len(t2.rows)
+    for r1, r2 in zip(t1.rows, t2.rows):
+        assert abs(r1.a - r2.a) <= tol and abs(r1.b - r2.b) <= tol
+        assert abs(r1.target - r2.target) <= tol
+    for name in ("sum_a_sq", "sum_b_sq", "ratio", "f_l1"):
+        assert abs(getattr(t1, name) - getattr(t2, name)) <= tol, name
+
+
+def test_canonical_replay_matches_explicit_factorization():
+    # a canonical replay reads <g, h e_n> from f-hat, since g conj(h) = f;
+    # given the same factorization explicitly, the replay transforms g conj(h)
+    spec = GridSpec((192,), (48,))
+    for seed in range(3):
+        f = random_function(spec, range(0, 49), seed)
+        e = Enumeration([2, 5, 11, 23])
+        assert_traces_agree(replay(f, e), replay(f, e, factorization=factorize(f)))
+        f, e, dsets = theorem5_instance([2, 5, 11, 23], 40, seed)
+        assert_traces_agree(
+            replay(f, e, dsets=dsets), replay(f, e, dsets=dsets, factorization=factorize(f))
+        )
+        f = complementary_instance([2, 5, 11, 23], 40, seed)
+        e = Enumeration([2, 5, 11, 23])
+        assert_traces_agree(
+            replay(f, e, mode="complementary"),
+            replay(f, e, mode="complementary", factorization=factorize(f)),
+        )
+
+
+def scaled_g(f):
+    """The canonical factorization of f with g scaled by 1 + 1e-6."""
+    fac = factorize(f)
+    return Factorization(GridFunction(f.spec, fac.g.samples * (1 + 1e-6)), fac.h)
+
+
+def test_check_covers_the_factorization():
+    f, e, dsets = theorem5_instance([2, 5, 11, 23], 40, 0)
+    assert replay(f, e, dsets=dsets, factorization=factorize(f)).check() == []
+    halfline = random_function(GridSpec((192,), (48,)), range(0, 49), 0)
+    complementary = complementary_instance([2, 5, 11], 24, 0)
+    for tr in (
+        replay(f, e, dsets=dsets, factorization=scaled_g(f)),
+        replay(halfline, Enumeration([2, 5, 11, 23]), factorization=scaled_g(halfline)),
+        replay(complementary, Enumeration([2, 5, 11]), mode="complementary",
+               factorization=scaled_g(complementary)),
+    ):
+        assert any(v.startswith("factorization residual") for v in tr.check())
