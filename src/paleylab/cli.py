@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("replay", help="replay one instance file")
     pl.add_argument("--instances", required=True)
-    pl.add_argument("--mode", choices=["new", "classic", "complementary"])
+    pl.add_argument("--mode", choices=["new", "complementary"])
     pl.add_argument("--out")
     pl.set_defaults(func=cmd_replay)
 

@@ -171,11 +171,11 @@ def _smooth_size(n: int) -> int:
     return best
 
 
-def auto_spec(max_freq, min_points: int = 0) -> GridSpec:
+def auto_spec(max_freq) -> GridSpec:
     """Grid spec for a required window: M per axis, N the smallest 5-smooth
-    size >= max(2M + 2, min_points)."""
+    size >= 2M + 2."""
     ms = as_vec(max_freq) if hasattr(max_freq, "__iter__") else (int(max_freq),)
-    dims = [_smooth_size(max(2 * m + 2, min_points)) for m in ms]
+    dims = [_smooth_size(2 * m + 2) for m in ms]
     return GridSpec(tuple(dims), tuple(ms))
 
 

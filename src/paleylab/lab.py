@@ -18,7 +18,7 @@ import numpy as np
 
 from .cones import as_vec
 from .grid import GridFunction, GridSpec, auto_spec, norm_l1, synth
-from .proofkit import default_depth, replay
+from .proofkit import CHECK_TOLERANCE, default_depth, replay
 from .sets import Enumeration, SetReport, Window, alt_sum_set, d_set, s_set, schur_set
 
 SQRT2 = math.sqrt(2.0)
@@ -73,6 +73,11 @@ class Instance:
     def __post_init__(self):
         if self.forbidden not in SELECTORS:
             raise ValueError(f"unknown forbidden-set selector {self.forbidden!r}")
+        # "classic" needs an analytic factorization, which no template carries
+        if self.mode != "auto" and self.mode not in SELECTOR_MODE.values():
+            raise ValueError(
+                f"template mode must be auto, new, complementary or null, not {self.mode!r}"
+            )
         object.__setattr__(self, "k", tuple(int(x) for x in self.k))
         object.__setattr__(
             self, "custom_forbidden", tuple(int(x) for x in self.custom_forbidden)
@@ -255,7 +260,7 @@ def _template_sets(inst: Instance):
     return certified_forbidden(inst), replay_dsets(inst, inst.replay_mode())
 
 
-def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9, sets=None) -> dict:
+def run_one(inst: Instance, index: int, master_seed: int, sets=None) -> dict:
     """Build one seeded instance, replay if a mode applies, check everything.
     `sets` is the template's `_template_sets`, built here when not given."""
     forbidden, dsets = sets or _template_sets(inst)
@@ -267,7 +272,7 @@ def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9, set
     trace_json = None
     if mode is not None:
         trace = replay(f, inst.enumeration, mode=mode, dsets=dsets)
-        violations.extend(trace.check(tol))
+        violations.extend(trace.check())
         worst = max(
             (
                 max(
@@ -286,7 +291,7 @@ def run_one(inst: Instance, index: int, master_seed: int, tol: float = 1e-9, set
     else:
         ratio = check_ratio(f, [(k,) for k in inst.k])
     constant = SELECTOR_CONSTANT[inst.forbidden]
-    if constant is not None and ratio > constant + tol:
+    if constant is not None and ratio > constant + CHECK_TOLERANCE:
         violations.append(f"ratio {ratio:.9f} exceeds constant {constant}")
     ceiling = SELECTOR_CEILING[inst.forbidden]
     ceiling_ok = ceiling is None or ratio <= ceiling + 1e-6

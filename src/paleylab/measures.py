@@ -31,7 +31,7 @@ from .lift import (
     lifted_schur_set,
     lifted_s_set,
 )
-from .proofkit import ProofTrace, replay, replay_group, replay_sets
+from .proofkit import CHECK_TOLERANCE, ProofTrace, replay, replay_group, replay_sets
 from .riesz import riesz_expansion
 from .sets import Enumeration, SetReport, Window, isin_rows, riesz_support, s_set, schur_set
 
@@ -62,7 +62,8 @@ class AtomicMeasure:
         return float(sum(abs(m) for _, m in self.atoms))
 
     def hat(self, ns) -> np.ndarray:
-        """mu-hat at each frequency of `ns`, rows of `dim` ints.
+        """mu-hat at each frequency of `ns`: the rows of a 2-D array, else
+        rows of `dim` ints.
 
         One pass over frequencies x atoms, in blocks of at most _HAT_BLOCK
         entries.  Mass times e^{-i n.x} is formed from real and imaginary
@@ -71,7 +72,9 @@ class AtomicMeasure:
         every entry gets the float operations of a per-frequency sum over the
         atoms.
         """
-        freqs = np.asarray(ns, np.int64).reshape(-1, self.dim)
+        freqs = np.asarray(ns, np.int64)
+        if freqs.ndim < 2:
+            freqs = freqs.reshape(-1, self.dim)
         out = np.zeros(len(freqs), complex)
         if not self.atoms:
             return out
@@ -81,7 +84,7 @@ class AtomicMeasure:
         for lo in range(0, len(freqs), step):
             block = freqs[lo : lo + step]
             phase = np.zeros((len(block), len(masses)))
-            for c, x in zip(block.T, locs.T):
+            for c, x in zip(block.T, locs.T, strict=True):
                 phase = phase + c[:, None] * x
             w = np.exp(-1j * phase)
             out.real[lo : lo + step] += np.cumsum(
@@ -138,12 +141,13 @@ class MeasureChainReport:
     trace: ProofTrace
     ceiling: float
 
-    def check(self, tol: float = 1e-9) -> list[str]:
+    def check(self) -> list[str]:
+        tol = CHECK_TOLERANCE
         out = []
         for name, lhs, rhs in self.links:
             if lhs > rhs * (1 + tol) + tol:
                 out.append(f"chain link {name}: {lhs:.9e} > {rhs:.9e}")
-        out.extend(self.trace.check(tol))
+        out.extend(self.trace.check())
         if self.ratio > self.ceiling + 1e-6:
             out.append(f"measure ratio {self.ratio:.9f} exceeds ceiling {self.ceiling:.9f}")
         return out
@@ -231,7 +235,6 @@ def check_measure_bound(
     e: Enumeration,
     hypothesis: str = "schur-riesz",
     M: int | None = None,
-    N: int | None = None,
 ) -> MeasureChainReport:
     """Verify the measure chain for an increasing strongly lacunary K on Z.
 
@@ -246,9 +249,8 @@ def check_measure_bound(
         M = need
     if M < need:
         raise ValueError("window too small for the Riesz support")
-    spec = auto_spec(M) if N is None else GridSpec((N,), (M,))
     return _measure_chain(
-        mu, e.entries, spec, hypothesis, _hypothesis_members(e, M, hypothesis),
+        mu, e.entries, auto_spec(M), hypothesis, _hypothesis_members(e, M, hypothesis),
         lambda f_k: replay(
             f_k, e, mode="new", dsets=None if hypothesis == "negative" else schur_dsets(e)
         ),
@@ -314,10 +316,9 @@ def random_density_measure(
     hypothesis: str,
     M: int,
     seed: int = 0,
-    N: int | None = None,
 ) -> DensityMeasure:
     """Seeded density with mu-hat vanishing on the hypothesis set, nonzero on K."""
-    spec = auto_spec(M) if N is None else GridSpec((N,), (M,))
+    spec = auto_spec(M)
     rng = np.random.default_rng([seed, 211])
     ns = np.arange(-M, M + 1)
     ns = ns[~np.isin(ns, _forbidden_frequencies(e, hypothesis, M))]
@@ -337,17 +338,17 @@ def random_atomic_measure(
     hypothesis: str,
     M: int,
     seed: int = 0,
-    extra_atoms: int = 4,
 ) -> AtomicMeasure:
     """Random atoms whose masses solve the vanishing constraints.
 
-    Given random locations, the masses are drawn from the null space of the
-    constraint matrix e^{-i n y_i} over the hypothesis frequencies; the
-    residual of every constraint must come out below 1e-10.
+    Given random locations, four more than the constraints, the masses are
+    drawn from the null space of the constraint matrix e^{-i n y_i} over the
+    hypothesis frequencies; the residual of every constraint must come out
+    below 1e-10.
     """
     constraints = _forbidden_frequencies(e, hypothesis, M)
     rng = np.random.default_rng([seed, 73])
-    n_atoms = len(constraints) + max(extra_atoms, 2)
+    n_atoms = len(constraints) + 4
     locs = rng.uniform(-np.pi, np.pi, size=n_atoms)
     if constraints:
         A = np.exp(-1j * np.outer(np.array(constraints, float), locs))

@@ -42,6 +42,8 @@ from .sets import Enumeration, isin_rows
 
 RANK_THRESHOLD = 1e-10
 HYPOTHESIS_TOLERANCE = 1e-12
+#: the tolerance of every trace, chain and campaign check
+CHECK_TOLERANCE = 1e-9
 
 
 class HypothesisViolation(ValueError):
@@ -75,12 +77,27 @@ class Factorization:
 
 def factorize(f: GridFunction) -> Factorization:
     """Canonical choice h = sqrt|f|, g = f / sqrt|f|, both zero where f is."""
-    absf = np.abs(f.samples)
-    root = np.sqrt(absf)
-    safe = np.where(absf > 0, root, 1.0)
-    g = np.where(absf > 0, f.samples / safe, 0.0)
-    h = np.where(absf > 0, root, 0.0)
-    return Factorization(GridFunction(f.spec, g), GridFunction(f.spec, h.astype(complex)))
+    root = np.sqrt(np.abs(f.samples))
+    g = np.divide(f.samples, root, out=np.zeros(f.spec.dims, complex), where=root > 0)
+    return Factorization(GridFunction(f.spec, g), GridFunction(f.spec, root.astype(complex)))
+
+
+def _factor_spectra(f: GridFunction, fac: Factorization | None, carrier=None):
+    """(fac, f-hat, F, gc) for a replay of f.
+
+    fac None means `factorize(f)`.  The carrier c is fac.h unless given; F
+    holds the coefficients of |c|^2 and gc the coefficients <g, c e_n>.  For
+    the canonical factorization, c = h and g conj(h) = f pointwise, so gc is
+    f-hat and needs no transform of its own.
+    """
+    hat = f.hat()
+    size = f.spec.size
+    canonical = fac is None
+    if canonical:
+        fac = factorize(f)
+    c = fac.h.samples if carrier is None else carrier
+    gc = hat if canonical else dft(fac.g.samples * np.conj(c)) / size
+    return fac, hat, dft(np.abs(c) ** 2) / size, gc
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +210,9 @@ class ProofTrace:
     q_nest_range_defect: float
     depth: int
 
-    def check(self, tol: float = 1e-9) -> list[str]:
+    def check(self) -> list[str]:
         """Violated trace conditions (empty list means the replay certifies)."""
+        tol = CHECK_TOLERANCE
         out = []
         gh = self.g_norm_sq * self.h_norm_sq
         scale = max(self.f_l2, 1e-300)
@@ -341,28 +359,24 @@ def _freqs(ns, d: int) -> np.ndarray:
 
 
 def _two_step_trace(
-    f, e_ks, dsets, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp=None, canonical=False
+    f, ks, dsets, flags, forbidden, depth, mode="new", fac=None, carrier=None, hexp=None
 ):
     """Shared two-step machinery for the "new" and "classic" modes.
 
     L_j = span{c e_n : n in D_j} for the carrier c, Q_j = A_{j+1} L_j (its
-    generators are D_j + k_{j+1}), Q_0 = 0 and Q_J the whole space.  hexp =
-    (frequencies, coefficients) expands h = c sum eta_t e_t; None means h = c.
-    `canonical` says (g, h) is `factorize(f)` with c = h: then g conj(c) = f
-    pointwise, so the coefficients <g, c e_n> are f-hat and need no transform
-    of their own.
+    generators are D_j + k_{j+1}), Q_0 = 0 and Q_J the whole space.  fac and
+    carrier are read by `_factor_spectra`: None means `factorize(f)` and
+    c = h.  hexp = (frequencies, coefficients) expands h = c sum eta_t e_t;
+    None means h = c.
     """
-    spec = f.spec
-    d = spec.ndim
-    J = len(e_ks)
+    d = f.spec.ndim
+    J = len(ks)
     f_l2 = norm_l2(f)
     _check_support_and_hypothesis(f, forbidden, f_l2, f"mode {mode}")
 
-    hat = f.hat()
-    F = dft(np.abs(carrier) ** 2) / spec.size
-    gc = hat if canonical else dft(gfun.samples * np.conj(carrier)) / spec.size  # <g, c e_n>
+    fac, hat, F, gc = _factor_spectra(f, fac, carrier)  # gc: <g, c e_n>
     hs, eta = hexp if hexp is not None else (np.zeros((1, d), np.int64), np.ones(1, complex))
-    ks = _freqs(e_ks, d)
+    kv = _freqs(ks, d)
     Ls = [_Span(F, ds) for ds in dsets]
     ph = [L.solve(_gram(F, L.ns, hs) @ eta) for L in Ls]  # P_j h
 
@@ -371,7 +385,7 @@ def _two_step_trace(
     rows = []
     qdefect = 0.0
     for i in range(J):
-        k, ah = ks[i], hs + ks[i]  # A_j h = c sum eta_t e_{t + k_j}
+        k, ah = kv[i], hs + kv[i]  # A_j h = c sum eta_t e_{t + k_j}
         on_ak = _at(gc, Ls[i].ns + k)  # <g, c e_n> on A_j L_j
         inter = btwo = 0.0
         if i:
@@ -383,7 +397,7 @@ def _two_step_trace(
             inter = float(np.linalg.norm(L.gram @ ph[i - 1] - s))
             btwo = abs(b[i] - (np.vdot(ph[i - 1], _at(gc, L.ns + k)) - np.vdot(ph[i], on_ak)))
         if i + 1 < J:
-            L, up = Ls[i], ks[i + 1]
+            L, up = Ls[i], kv[i + 1]
             if i:  # Q_{j-1} g against Q_j
                 qdefect = max(qdefect, L.defect(Ls[i - 1].ns + k - up, cq))
             cq = L.solve(_at(gc, L.ns + up))  # Q_j g
@@ -397,11 +411,9 @@ def _two_step_trace(
         orth = max(float(np.max(np.abs(_at(hat, Ls[i].ns + k)), initial=0.0)),
                    Ls[i].basis_max(on_ak))
         identity = abs(a[i] + b[i] - target)
-        rows.append(TraceRow(i + 1, e_ks[i], a[i], b[i], target, identity, mem, inter, orth, btwo))
+        rows.append(TraceRow(i + 1, ks[i], a[i], b[i], target, identity, mem, inter, orth, btwo))
 
-    return _assemble_trace(
-        f, mode, e_ks, rows, a, b, f_l2, flags, Factorization(gfun, hfun), qdefect, depth
-    )
+    return _assemble_trace(f, mode, ks, rows, a, b, f_l2, flags, fac, qdefect, depth)
 
 
 def _assemble_trace(f, mode, ks, rows, a, b, f_l2, flags, fac, qdefect, depth) -> ProofTrace:
@@ -443,25 +455,35 @@ def default_depth(ks: list[int]) -> int:
     return (max(gaps) if gaps else max(ks[0], 1)) + 1
 
 
+def _explicit_sets(ks, dsets, d: int):
+    """The D_j as (n_j, d) arrays, one per entry of ks, and their depth: minus
+    the least member coordinate, or 1 when every D_j is empty."""
+    dvecs = [_freqs(ds, d) for ds in dsets]
+    if len(dvecs) != len(ks):
+        raise ValueError("need one index set per enumeration entry")
+    members = np.concatenate(dvecs)
+    return dvecs, -int(members.min()) if members.size else 1
+
+
 def replay(
     f: GridFunction,
     e: Enumeration,
     mode: str = "new",
     dsets=None,
     factorization: Factorization | None = None,
-    depth: int | None = None,
 ) -> ProofTrace:
     """Replay the two-term splitting for an integer enumeration.
 
     With mode "new" and no dsets, the index sets are half-line tails truncated
-    at a floor (default one past the largest gap) and the hypothesis is that
-    f-hat vanishes at negative window frequencies.  Supplying dsets (one
-    windowed member list per entry, e.g. from `d_set`) switches the hypothesis
-    to vanishing on the union of the shifted sets, the Schur set; the three
-    structural conditions are then checked at the set level instead of
-    lacunarity.  Mode "classic" uses bare-character subspaces and requires an
-    analytic factorization.  Mode "complementary" certifies the variant whose
-    hypothesis is vanishing at positive frequencies outside K.
+    at the floor `default_depth` and the hypothesis is that f-hat vanishes at
+    negative window frequencies.  Supplying dsets (one windowed member list
+    per entry, e.g. from `d_set`) switches the hypothesis to vanishing on the
+    union of the shifted sets, the Schur set; the three structural conditions
+    are then checked at the set level instead of lacunarity.  Mode "classic"
+    uses bare-character subspaces and requires an analytic factorization.
+    Mode "complementary" certifies the variant whose hypothesis is vanishing
+    at positive frequencies outside K.  With no factorization, the new and
+    complementary modes take `factorize(f)`.
     """
     if e.J == 0:
         raise ValueError("empty enumeration")
@@ -482,20 +504,19 @@ def replay(
     if mode not in ("new", "classic"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    canonical = mode == "new" and factorization is None
+    carrier = hexp = None
+    h_degree = 0
     if mode == "classic":
         if factorization is None:
             raise ValueError("classic mode needs an analytic factorization")
-        gfun, hfun = factorization.g, factorization.h
-        ghat, hhat = gfun.hat(), hfun.hat()
-        gl2, hl2 = norm_l2(gfun), norm_l2(hfun)
+        ghat, hhat = factorization.g.hat(), factorization.h.hat()
+        gl2, hl2 = norm_l2(factorization.g), norm_l2(factorization.h)
         for n in range(-(N // 2), 0):
             if abs(ghat[n % N]) > 1e-10 * max(gl2, 1e-300):
                 raise ValueError(f"classic mode: g-hat({n}) does not vanish")
         for n in range(1, N // 2):
             if abs(hhat[n % N]) > 1e-10 * max(hl2, 1e-300):
                 raise ValueError(f"classic mode: conj h is not analytic (h-hat({n}) nonzero)")
-        h_degree = 0
         for n in range(1, N // 2 + 1):
             if abs(hhat[(-n) % N]) > 1e-12 * max(hl2, 1e-300):
                 h_degree = n
@@ -503,42 +524,30 @@ def replay(
         carrier = np.ones(spec.dims, complex)
         hs = -np.arange(h_degree + 1).reshape(-1, 1)
         hexp = (hs, _at(hhat, hs))
-    else:
-        fac = factorize(f) if canonical else factorization
-        gfun, hfun = fac.g, fac.h
-        carrier = hfun.samples
-        h_degree = 0
-        hexp = None
 
     if dsets is None:
         if not is_strongly_lacunary(ks):
             raise ValueError(
                 "half-line replay requires a strongly lacunary increasing enumeration"
             )
-        if depth is None:
-            depth = default_depth(ks) + h_degree
+        depth = default_depth(ks) + h_degree
         if depth > N - M - 1:
             raise ValueError("depth exceeds the grid's alias-free range")
         dvecs = [np.arange(-depth, -k).reshape(-1, 1) for k in ks]
-        floor = (-depth,)
         forbidden = np.arange(-M, 0)
     else:
-        dvecs = [_freqs(ds, 1) for ds in dsets]
-        if len(dvecs) != len(ks):
-            raise ValueError("need one index set per enumeration entry")
-        members = np.concatenate(dvecs)
-        depth = -int(members.min()) if members.size else 1
+        dvecs, depth = _explicit_sets(ks, dsets, 1)
         if depth > N - M - 1:
             raise ValueError("index sets exceed the grid's alias-free range")
-        floor = (-depth,)
         # sorted so a violation names the least offender; repeats check twice
         shifted = np.sort(np.concatenate([ds + k for k, ds in zip(ks, dvecs)]), axis=0)
         forbidden = shifted[np.abs(shifted) <= M]
 
     kvecs = [(k,) for k in ks]
-    flags = _windowed_set_flags(_freqs(kvecs, 1), dvecs, floor, (-1,))
+    flags = _windowed_set_flags(_freqs(kvecs, 1), dvecs, (-depth,), (-1,))
     return _two_step_trace(
-        f, kvecs, dvecs, carrier, gfun, hfun, mode, depth, forbidden, flags, hexp, canonical
+        f, kvecs, dvecs, flags, forbidden, depth,
+        mode=mode, fac=factorization, carrier=carrier, hexp=hexp,
     )
 
 
@@ -559,36 +568,23 @@ def replay_sets(
     """
     kvecs = [as_vec(k) for k in ks]
     d = len(kvecs[0])
-    dvecs = [_freqs(ds, d) for ds in dsets]
-    if len(dvecs) != len(kvecs):
-        raise ValueError("need one index set per enumeration entry")
-    fac = factorize(f)
+    dvecs, depth = _explicit_sets(kvecs, dsets, d)
     flags = _windowed_set_flags(_freqs(kvecs, d), dvecs, window_lo, window_hi)
-    members = np.concatenate(dvecs)
-    depth = -int(members.min()) if members.size else 1
-    return _two_step_trace(
-        f, kvecs, dvecs, fac.h.samples, fac.g, fac.h, "new", depth, forbidden, flags, None, True
-    )
+    return _two_step_trace(f, kvecs, dvecs, flags, forbidden, depth)
 
 
 def _replay_complementary(f: GridFunction, ks: list[int], factorization):
     """Two-step replay over the finite blocks [-k_j, 0); everything is exact."""
     if not is_strongly_lacunary(ks):
         raise ValueError("complementary replay requires a strongly lacunary enumeration")
-    spec = f.spec
-    size = spec.size
     J = len(ks)
-    M = spec.window_half[0]
+    M = f.spec.window_half[0]
     f_l2 = norm_l2(f)
     forbidden = np.arange(1, M + 1)
     forbidden = forbidden[~np.isin(forbidden, ks)]
     _check_support_and_hypothesis(f, forbidden, f_l2, "mode complementary")
 
-    fac = factorization if factorization is not None else factorize(f)
-    hat = f.hat()
-    F = dft(np.abs(fac.h.samples) ** 2) / size
-    # <g, h e_n>: f-hat for the canonical factorization, where g conj(h) = f
-    gc = hat if factorization is None else dft(fac.g.samples * np.conj(fac.h.samples)) / size
+    fac, hat, F, gc = _factor_spectra(f, factorization)  # gc: <g, h e_n>
     kv = _freqs(ks, 1)
     # P_j = span{h e_n : n in [-k_j, 0)}; Q_j = A_j P_j has generators [0, k_j)
     Ps = [_Span(F, np.arange(-k, 0).reshape(-1, 1)) for k in ks]
@@ -637,16 +633,14 @@ def replay_group(
     f: GridFunction,
     e: Enumeration,
     order: ConeOrder,
-    mode: str = "new",
 ) -> ProofTrace:
     """Two-step replay on a multi-axis grid with cone-order subspaces.
 
     The enumeration must increase in the order and be strongly lacunary for
     it; the hypothesis is that f-hat vanishes on the strictly negative cone
-    inside the window.
+    inside the window.  The canonical factorization supplies the carrier, and
+    the trace's mode is "new".
     """
-    if mode != "new":
-        raise ValueError("group replay supports mode 'new'")
     if e.J == 0:
         raise ValueError("empty enumeration")
     spec = f.spec
@@ -677,9 +671,5 @@ def replay_group(
         ]
         dsets.append(_freqs(members, e.dim))
     forbidden = [v for v in box if order.in_strict_cone(vec_scale(-1, v))]
-    fac = factorize(f)
     flags = _cone_set_flags(_freqs(ks, e.dim), dsets, order)
-    depth = max(spec.window_half)
-    return _two_step_trace(
-        f, ks, dsets, fac.h.samples, fac.g, fac.h, "new", depth, forbidden, flags, None, True
-    )
+    return _two_step_trace(f, ks, dsets, flags, forbidden, max(spec.window_half))

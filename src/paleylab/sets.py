@@ -406,14 +406,14 @@ def schur_set_via_gaps(e: Enumeration, w: Window) -> SetReport:
 # S set, Riesz support, alternating sums
 # ---------------------------------------------------------------------------
 
-def s_set(e: Enumeration, cap: int = S_SET_CAP) -> SetReport:
+def s_set(e: Enumeration) -> SetReport:
     """Values Σ ε_j k_j over ε in {-1,0,1}^J meeting the partial-sum conditions."""
-    if e.J > cap:
-        raise CapExceeded(f"J={e.J} exceeds the 3^J cap {cap}")
+    if e.J > S_SET_CAP:
+        raise CapExceeded(f"J={e.J} exceeds the 3^J cap {S_SET_CAP}")
     return SetReport(_sign_walk(e.entries), True)
 
 
-def _signed_sum_keys(K, cap: int):
+def _signed_sum_keys(K):
     """K' = K \\ {0} as steps in a mixed-radix int64 key space.
 
     The keys number the box [-S, S], S the coordinatewise sum of |γ| over K',
@@ -422,15 +422,15 @@ def _signed_sum_keys(K, cap: int):
     order, and the key of v + γ is key(v) + step(γ) inside the box.  Returns
     (key of 0, the steps, decode), where decode maps keys to (n, d) int64
     frequencies.  Raises CapExceeded, before anything is allocated, when
-    |K'| > cap or the box has more points than int64 can number.
+    |K'| > RIESZ_CAP or the box has more points than int64 can number.
     """
     pts = sorted({as_vec(g) for g in K})
     d = len(pts[0]) if pts else 1
     if any(len(g) != d for g in pts):
         raise ValueError("mixed dimensions in K")
     kprime = [g for g in pts if any(g)]
-    if len(kprime) > cap:
-        raise CapExceeded(f"|K'|={len(kprime)} exceeds the 3^n cap {cap}")
+    if len(kprime) > RIESZ_CAP:
+        raise CapExceeded(f"|K'|={len(kprime)} exceeds the 3^n cap {RIESZ_CAP}")
     half = [sum(abs(g[c]) for g in kprime) for c in range(d)]
     radix = [2 * h + 1 for h in half]
     if math.prod(radix) > np.iinfo(np.int64).max:
@@ -444,7 +444,7 @@ def _signed_sum_keys(K, cap: int):
     return sum(h * st for h, st in zip(half, strides)), steps, decode
 
 
-def signed_sums(K, cap: int = RIESZ_CAP) -> tuple[np.ndarray, np.ndarray, int]:
+def signed_sums(K) -> tuple[np.ndarray, np.ndarray, int]:
     """The signed sums Σ ε_γ γ, ε in {-1, 0, 1}^K', K' = K \\ {0}, with weights.
 
     Returns (freqs, nums, |K'|): the distinct sums as an (n, d) int64 array in
@@ -455,7 +455,7 @@ def signed_sums(K, cap: int = RIESZ_CAP) -> tuple[np.ndarray, np.ndarray, int]:
     (a neighbour compare, since np.unique would load numpy.ma).  The weights
     sum to 4^|K'|, so the cap keeps them exact.
     """
-    origin, steps, decode = _signed_sum_keys(K, cap)
+    origin, steps, decode = _signed_sum_keys(K)
     keys = np.array([origin], np.int64)
     nums = np.ones(1, np.int64)
     for step in steps:
@@ -468,16 +468,16 @@ def signed_sums(K, cap: int = RIESZ_CAP) -> tuple[np.ndarray, np.ndarray, int]:
     return decode(keys), nums, len(steps)
 
 
-def riesz_support(K, cap: int = RIESZ_CAP) -> SetReport:
+def riesz_support(K) -> SetReport:
     """All signed {-1,0,1} combinations of K \\ {0}; always contains 0."""
-    return SetReport(signed_sums(K, cap)[0], True)
+    return SetReport(signed_sums(K)[0], True)
 
 
-def alt_sum_set(e: Enumeration, cap: int = ALT_SUM_CAP) -> SetReport:
+def alt_sum_set(e: Enumeration) -> SetReport:
     """Alternating sums k_{j1} - k_{j2} + ... over increasing index subsequences
     of odd length at least 3."""
-    if e.J > cap:
-        raise CapExceeded(f"J={e.J} exceeds the 2^J cap {cap}")
+    if e.J > ALT_SUM_CAP:
+        raise CapExceeded(f"J={e.J} exceeds the 2^J cap {ALT_SUM_CAP}")
     out = set()
     d = e.dim
     zero = tuple(0 for _ in range(d))

@@ -172,6 +172,23 @@ def test_verify_broken_template_exits_2(tmp_path):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_verify_unrunnable_template_mode_exits_2(tmp_path):
+    # "classic" needs an analytic factorization, which no template carries;
+    # both modes are rejected before dispatch, whatever the worker count
+    path = tmp_path / "camp.json"
+    for mode in ("classic", "foo"):
+        bad = {"k": [2, 5, 11], "forbidden": "schur", "M": 20, "mode": mode}
+        path.write_text(json.dumps({"templates": [bad]}))
+        for workers in ("1", "2"):
+            proc = run_cli(
+                "verify", "--instances", str(path), "--trials", "2", "--workers", workers
+            )
+            assert proc.returncode == 2, (mode, workers)
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: template mode ")
+            assert proc.stderr.count("\n") == 1
+
+
 def test_verify_config_without_templates_exits_2(tmp_path):
     path = tmp_path / "camp.json"
     path.write_text(json.dumps({"template": [{"k": [2, 5, 11], "forbidden": "schur", "M": 20}]}))

@@ -33,6 +33,12 @@ def test_measure_hat_examples():
     assert np.abs(half.hat(ns) - (1 + (-1.0) ** ns) / 2).max() < 1e-12
 
 
+def test_empty_atomic_hat_has_one_value_per_row():
+    # no atoms fix no dimension, so each row of a 2-D array is one frequency
+    assert AtomicMeasure([]).hat(np.zeros((4, 2), int)).shape == (4,)
+    assert AtomicMeasure([]).hat([1, 2, 3]).shape == (3,)
+
+
 def test_measure_hat_matches_per_frequency_oracle():
     # density: bit for bit the windowed coefficient, 0 beyond the window;
     # atomic: the sum over atoms of mass * e^{-i n.x}, to 1e-14 of |mu|

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -661,9 +663,15 @@ def two_step_inputs(monkeypatch):
     seen = []
     inner = pk._two_step_trace
 
-    def record(f, e_ks, dsets, carrier, gfun, hfun, *rest):
-        seen.append((f, e_ks, dsets, carrier, gfun.samples, hfun.samples))
-        return inner(f, e_ks, dsets, carrier, gfun, hfun, *rest)
+    def record(*args, **kwargs):
+        # the factorization and carrier the trace uses: fac None means
+        # factorize(f), and the carrier is fac.h unless one is given
+        a = inspect.signature(inner).bind(*args, **kwargs).arguments
+        fac = a.get("fac") or pk.factorize(a["f"])
+        carrier = a.get("carrier")
+        carrier = fac.h.samples if carrier is None else carrier
+        seen.append((a["f"], a["ks"], a["dsets"], carrier, fac.g.samples, fac.h.samples))
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(pk, "_two_step_trace", record)
     return seen

@@ -258,7 +258,7 @@ def test_s_set_examples():
 
 def test_s_set_cap():
     with pytest.raises(CapExceeded):
-        s_set(Enumeration(list(range(1, 19))), cap=16)
+        s_set(Enumeration(list(range(1, 19))))
 
 
 @pytest.mark.parametrize(
@@ -293,9 +293,9 @@ def test_sign_walk_against_product_oracle(kind, ks, arg):
 
 def test_riesz_and_alt_caps():
     with pytest.raises(CapExceeded):
-        riesz_support(list(range(1, 18)), cap=14)
+        riesz_support(list(range(1, 18)))
     with pytest.raises(CapExceeded):
-        alt_sum_set(Enumeration(list(range(1, 24))), cap=20)
+        alt_sum_set(Enumeration(list(range(1, 24))))
 
 
 def test_block_set_index_range_errors():
